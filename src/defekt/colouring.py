@@ -13,6 +13,7 @@ equality.  All public functions either return a verified object or raise.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
@@ -103,39 +104,54 @@ def build_peel_trace(g: Graph, vertex_limit: int, edge_limit: int) -> PeelTrace:
     Prefers the smallest vertex of degree <= vertex_limit; otherwise takes
     the lexicographically least edge whose endpoints both have degree
     <= edge_limit.  If neither exists the reduction is stuck and the
-    surviving subgraph is raised as a witness.
+    surviving subgraph is raised as a witness.  Degrees only fall, so a
+    vertex or edge stays eligible from when it becomes so until removed, and
+    two heaps of eligible vertices and edges (stale edges skipped lazily)
+    yield exactly those choices in O((n + m) log n).
     """
     adj = g.adjacency_sets()
     present = [True] * g.n
     alive = g.n
+    # ascending, so already a heap; vertices only leave it by being popped
+    vertex_heap = [v for v in range(g.n) if len(adj[v]) <= vertex_limit]
+    # built when the vertex rule first runs dry, which is often never
+    edge_heap: list[tuple[int, int]] | None = None
     steps: list[PeelStep] = []
+
+    def lowered(u: int) -> None:
+        # u just lost a neighbour: push what that made eligible
+        d = len(adj[u])
+        if d == vertex_limit:
+            heapq.heappush(vertex_heap, u)
+        if d == edge_limit and edge_heap is not None:
+            for w in adj[u]:
+                if len(adj[w]) <= edge_limit:
+                    heapq.heappush(edge_heap, (min(u, w), max(u, w)))
+
     while alive:
-        found_vertex = None
-        for v in range(g.n):
-            if present[v] and len(adj[v]) <= vertex_limit:
-                found_vertex = v
-                break
-        if found_vertex is not None:
-            v = found_vertex
+        if vertex_heap:
+            v = heapq.heappop(vertex_heap)
             nbrs = tuple(sorted(adj[v]))
-            for u in nbrs:
-                adj[u].discard(v)
             adj[v].clear()
             present[v] = False
             alive -= 1
+            for u in nbrs:
+                adj[u].discard(v)
+                lowered(u)
             steps.append(RemoveVertex(vertex=v, neighbours=nbrs))
             continue
-        found_edge = None
-        for u in range(g.n):
-            if not present[u] or len(adj[u]) > edge_limit:
-                continue
-            for w in sorted(adj[u]):
-                if w > u and len(adj[w]) <= edge_limit:
-                    found_edge = (u, w)
-                    break
-            if found_edge:
-                break
-        if found_edge is None:
+        if edge_heap is None:
+            edge_heap = [
+                (u, w)
+                for u in range(g.n)
+                if len(adj[u]) <= edge_limit
+                for w in adj[u]
+                if u < w and len(adj[w]) <= edge_limit
+            ]
+            heapq.heapify(edge_heap)
+        while edge_heap and edge_heap[0][1] not in adj[edge_heap[0][0]]:
+            heapq.heappop(edge_heap)
+        if not edge_heap:
             stuck, old_ids = induced_subgraph(
                 g, [v for v in range(g.n) if present[v]]
             )
@@ -145,34 +161,13 @@ def build_peel_trace(g: Graph, vertex_limit: int, edge_limit: int) -> PeelTrace:
                 f"vertices {old_ids}",
                 witness=stuck,
             )
-        u, w = found_edge
+        u, w = heapq.heappop(edge_heap)
         adj[u].discard(w)
         adj[w].discard(u)
+        lowered(u)
+        lowered(w)
         steps.append(RemoveEdge(edge=(u, w)))
     return PeelTrace(vertex_limit=vertex_limit, edge_limit=edge_limit, steps=tuple(steps))
-
-
-def replay_forward_check(g: Graph, trace: PeelTrace) -> bool:
-    """True iff applying the trace to ``g`` deletes every vertex and edge
-    exactly once."""
-    adj = g.adjacency_sets()
-    present = [True] * g.n
-    for step in trace.steps:
-        if isinstance(step, RemoveVertex):
-            v = step.vertex
-            if not present[v] or tuple(sorted(adj[v])) != step.neighbours:
-                return False
-            for u in step.neighbours:
-                adj[u].discard(v)
-            adj[v].clear()
-            present[v] = False
-        else:
-            u, w = step.edge
-            if not (present[u] and present[w] and w in adj[u]):
-                return False
-            adj[u].discard(w)
-            adj[w].discard(u)
-    return not any(present) and not any(adj[v] for v in range(g.n))
 
 
 # ---------------------------------------------------------------------------
@@ -692,8 +687,8 @@ def colour_kell(g: Graph, ell: int, k: int) -> KellResult:
         diagnostics["quotient_defect"] = 0
     else:
         if quotient.n <= caps.top_grad:
-            delta = mad_exact(quotient)[0]
-            grad_twice = 2 * top_grad_half(quotient)[0]
+            delta, mad_witness = mad_exact(quotient)
+            grad_twice = 2 * top_grad_half(quotient, _mad_witness=mad_witness)[0]
             diagnostics["density_source"] = "measured"
         else:
             # beyond the exact oracle, fall back to the class-wide average

@@ -8,12 +8,13 @@ returned as exact rationals with witnesses.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .caps import current_caps
 from .errors import AlgorithmError, CapExceededError, ValidationError
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph, bits_of, induced_subgraph
 from .matching import max_bipartite_matching
 
 
@@ -124,30 +125,26 @@ def _edges_inside(g: Graph, vertices: list[int]) -> int:
 def mad_exact(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
     """Maximum average degree with an attaining vertex set.
 
-    Binary search over density guesses, each answered exactly by a scaled
-    integer max-flow; runs in polynomial time.  Distinct subgraph densities
-    differ by at least 1/(n(n-1)), so the search stops once the bracket is
-    tighter than 1/n^2 and returns the best witness's exact value.
+    Dinkelbach's iteration for the densest-subgraph ratio: from lam = m/n,
+    ask a scaled integer max-flow for a set denser than lam and jump lam to
+    that set's exact density, until no denser set exists.  Each jump
+    strictly raises lam, which only takes the finitely many values
+    e(S)/|S|, so the loop ends at the optimum lam* after a few flows.
+
+    The last set found is the minimal maximiser of e(S) - lam|S| at some
+    lam < lam*, and is densest.  The maximum densest subgraph D (the union
+    of all densest sets) scores |D|(lam* - lam) there, at least the set's
+    own score, so the set is no smaller than D and, being densest, lies in
+    D: it is D, whichever values lam passed through.
     """
     if g.n == 0:
         raise ValidationError("density of the empty graph is undefined")
     if g.m == 0:
         return Fraction(0), (0,)
-    n = g.n
-    best_set = list(range(n))
-    best = Fraction(g.m, n)
-    lo, hi = best, Fraction(g.m + 1)
-    thresh = Fraction(1, n * n)
-    while hi - lo > thresh:
-        mid = (lo + hi) / 2
-        found = _denser_than(g, mid)
-        if found is None:
-            hi = mid
-        else:
-            lo = mid
-            dens = Fraction(_edges_inside(g, found), len(found))
-            if dens > best:
-                best, best_set = dens, found
+    best_set = list(range(g.n))
+    best = Fraction(g.m, g.n)
+    while (found := _denser_than(g, best)) is not None:
+        best, best_set = Fraction(_edges_inside(g, found), len(found)), found
     return 2 * best, tuple(best_set)
 
 
@@ -175,19 +172,28 @@ def mad_bruteforce(g: Graph, cap: int | None = None) -> tuple[Fraction, tuple[in
 
 
 def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Degeneracy and a witnessing elimination order (smallest id first on ties)."""
+    """Degeneracy and a witnessing elimination order (smallest id first on ties).
+
+    Smallest-last order (Matula-Beck) from a lazy (degree, id) heap, in
+    O((n + m) log n): a vertex is re-pushed each time its degree falls, and
+    an entry is stale when its degree is no longer the vertex's (a removed
+    vertex has degree 0 and every entry left for it is higher).
+    """
     adj = g.adjacency_sets()
-    alive = set(range(g.n))
+    heap = [(len(nbrs), v) for v, nbrs in enumerate(adj)]
+    heapq.heapify(heap)
     order = []
     k = 0
-    while alive:
-        v = min(alive, key=lambda u: (len(adj[u]), u))
-        k = max(k, len(adj[v]))
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d != len(adj[v]):
+            continue
+        k = max(k, d)
         order.append(v)
         for u in adj[v]:
             adj[u].discard(v)
+            heapq.heappush(heap, (len(adj[u]), u))
         adj[v].clear()
-        alive.discard(v)
     return k, tuple(order)
 
 
@@ -248,7 +254,7 @@ def _identity_witness(g: Graph, vertices: tuple[int, ...]) -> SubdivisionWitness
 
 
 def top_grad_half(
-    g: Graph, cap: int | None = None
+    g: Graph, cap: int | None = None, *, _mad_witness: tuple[int, ...] | None = None
 ) -> tuple[Fraction, SubdivisionWitness, str]:
     """Densest edge/vertex ratio over graphs with a (<=1)-subdivision in ``g``.
 
@@ -256,12 +262,13 @@ def top_grad_half(
     count directly, and the remaining pairs are matched to distinct outside
     common neighbours by bipartite matching.  Above the cap the densest
     subgraph is returned instead as a certified lower bound
-    (method "heuristic-lower-bound").
+    (method "heuristic-lower-bound").  Callers that already hold the
+    ``mad_exact`` witness pass it as ``_mad_witness`` to skip recomputing it.
     """
     if g.n == 0:
         raise ValidationError("density of the empty graph is undefined")
     limit = cap if cap is not None else current_caps().top_grad
-    mad, mad_set = mad_exact(g)
+    mad_set = _mad_witness if _mad_witness is not None else mad_exact(g)[1]
     best_num = _edges_inside(g, list(mad_set))
     best_den = len(mad_set)
     best_info: tuple[list[int], list[tuple[int, int, int]]] | None = None
@@ -290,9 +297,9 @@ def top_grad_half(
         if ub * best_den <= best_num * size:
             return
         cand_masks = [masks[u] & masks[v] & ~s_mask for u, v in missing]
-        rights = sorted(set().union(*(_bits(cm) for cm in cand_masks)) if cand_masks else set())
+        rights = sorted(set().union(*map(bits_of, cand_masks)))
         index = {w: j for j, w in enumerate(rights)}
-        adj = [[index[w] for w in _bits(cm)] for cm in cand_masks]
+        adj = [[index[w] for w in bits_of(cm)] for cm in cand_masks]
         msize, match_l, _ = max_bipartite_matching(len(missing), len(rights), adj)
         val = e_in + msize
         if val * best_den > best_num * size:
@@ -355,15 +362,6 @@ def top_grad_half(
     return Fraction(best_num, best_den), witness, "brute-force"
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return out
-
-
 # ---------------------------------------------------------------------------
 # combined report
 
@@ -388,7 +386,7 @@ class DensityReport:
 def build_report(g: Graph, top_grad_cap: int | None = None) -> DensityReport:
     mad, wit = mad_exact(g)
     k, _ = degeneracy(g)
-    tg, _, method = top_grad_half(g, cap=top_grad_cap)
+    tg, _, method = top_grad_half(g, cap=top_grad_cap, _mad_witness=wit)
     return DensityReport(
         mad=mad,
         mad_witness=wit,

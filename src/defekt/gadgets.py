@@ -16,10 +16,6 @@ from .graphs import Graph, is_tree
 # ---------------------------------------------------------------------------
 # standard graphs
 
-def empty(n: int) -> Graph:
-    return Graph(n)
-
-
 def path(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 

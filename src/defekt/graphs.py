@@ -204,7 +204,8 @@ def to_dimacs(g: Graph) -> str:
 
 
 def from_json(text: str) -> Graph:
-    """Parse ``{"n": int, "edges": [[u, v], ...]}``."""
+    """Parse ``{"n": int, "edges": [[u, v], ...], "labels": [...]}``; the
+    last two are optional, and booleans are not integers here."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -213,14 +214,19 @@ def from_json(text: str) -> Graph:
         raise ParseError("expected an object with an 'n' field")
     n = data["n"]
     edges = data.get("edges", [])
-    if not isinstance(n, int) or not isinstance(edges, list):
+    labels = data.get("labels")
+    if type(n) is not int or not isinstance(edges, list):
         raise ParseError("'n' must be an integer and 'edges' a list")
+    if labels is not None and not isinstance(labels, list):
+        raise ParseError("'labels' must be a list")
     pairs = []
     for item in edges:
-        if not (isinstance(item, list) and len(item) == 2):
+        if not (isinstance(item, list) and len(item) == 2) or any(
+            type(x) is not int for x in item
+        ):
             raise ParseError(f"bad edge entry {item!r}")
         pairs.append((item[0], item[1]))
-    return Graph(n, pairs, labels=data.get("labels"))
+    return Graph(n, pairs, labels=labels)
 
 
 def to_json(g: Graph) -> str:

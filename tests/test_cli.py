@@ -126,6 +126,25 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert run(capsys, "bounds", "no-such-formula")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 2, "edges": [["a", 1]]}',
+        '{"n": 2, "edges": [[0, 1]], "labels": 5}',
+        '{"n": true, "edges": []}',
+    ],
+    ids=["string-vertex-id", "labels-not-a-list", "bool-vertex-count"],
+)
+def test_malformed_json_graph_is_usage_error(tmp_path, capsys, text):
+    graph = tmp_path / "g.json"
+    graph.write_text(text)
+    code = main(["analyze", str(graph)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_missing_file_is_usage_error(capsys):
     assert run(capsys, "analyze", "/no/such/file")[0] == 2
 

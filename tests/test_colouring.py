@@ -30,6 +30,7 @@ from defekt.errors import (
 from defekt.graphs import Graph
 
 from helpers import graphs
+from oracles import peel_by_rescan, replay_forward_check
 
 
 def test_verify_defective_counts():
@@ -70,6 +71,39 @@ def test_peel_trace_stuck_carries_witness():
     stuck = err.value.witness
     assert isinstance(stuck, Graph)
     assert stuck.n == 4 and stuck.m == 6
+
+
+def _peel_outcome(peel, g, vertex_limit, edge_limit):
+    try:
+        return peel(g, vertex_limit, edge_limit), None
+    except StructuralError as err:
+        return None, (str(err), err.witness)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=11), st.integers(0, 4), st.integers(0, 7))
+def test_peel_heaps_match_rescan_oracle(g, vertex_limit, edge_limit):
+    fast = _peel_outcome(build_peel_trace, g, vertex_limit, edge_limit)
+    assert fast == _peel_outcome(peel_by_rescan, g, vertex_limit, edge_limit)
+    if fast[0] is not None:
+        assert replay_forward_check(g, fast[0])
+
+
+@pytest.mark.parametrize(
+    "g, vertex_limit, edge_limit",
+    [
+        (corpus.apollonian(400, 4), 3, 40),
+        (corpus.apollonian(400, 5), 2, 7),
+        (corpus.apollonian(400, 5), 1, 9),  # stuck after 210 vertices go
+        (corpus.planar_girth_5(100, 6), 1, 7),
+        (corpus.gnp(60, 0.2, 7), 1, 2),  # stuck at once
+        (corpus.gnp(60, 0.1, 8), 2, 6),
+        (corpus.random_tree(300, 9), 1, 1),
+    ],
+)
+def test_peel_heaps_match_rescan_oracle_on_larger_graphs(g, vertex_limit, edge_limit):
+    fast = _peel_outcome(build_peel_trace, g, vertex_limit, edge_limit)
+    assert fast == _peel_outcome(peel_by_rescan, g, vertex_limit, edge_limit)
 
 
 def test_list_colour_on_trees_is_proper():

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from defekt import gadgets
+from defekt import corpus, gadgets
 from defekt.density import (
     build_report,
     degeneracy,
@@ -16,18 +16,34 @@ from defekt.density import (
 from defekt.errors import CapExceededError, ValidationError
 from defekt.graphs import Graph
 
-from helpers import nonempty_graphs
+from helpers import graphs, nonempty_graphs
+from oracles import degeneracy_by_min, mad_by_bisection
 
 
-@given(nonempty_graphs(max_n=8))
+def _densest_union(g):
+    """Union of every vertex set of greatest density, by enumeration."""
+    edge_count = [0] * (1 << g.n)
+    best, union = Fraction(-1), 0
+    for mask in range(1, 1 << g.n):
+        low = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        edge_count[mask] = edge_count[rest] + (g.masks[low] & rest).bit_count()
+        dens = Fraction(edge_count[mask], mask.bit_count())
+        if dens > best:
+            best, union = dens, mask
+        elif dens == best:
+            union |= mask
+    return tuple(v for v in range(g.n) if union >> v & 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonempty_graphs(max_n=12))
 def test_mad_exact_agrees_with_bruteforce(g):
-    exact, wit_e = mad_exact(g)
-    brute, _ = mad_bruteforce(g)
-    assert exact == brute
-    # the witness must achieve the reported value
-    sub = set(wit_e)
-    inside = sum(1 for u, v in g.edges() if u in sub and v in sub)
-    assert Fraction(2 * inside, len(sub)) == exact
+    exact = mad_exact(g)
+    assert exact[0] == mad_bruteforce(g)[0]
+    # the witness is the maximum densest subgraph, as bisection also finds
+    assert exact[1] == _densest_union(g)
+    assert exact == mad_by_bisection(g)
 
 
 @given(nonempty_graphs(max_n=8))
@@ -36,6 +52,40 @@ def test_degeneracy_at_most_floor_mad(g):
     mad, _ = mad_exact(g)
     assert k <= mad
     assert sorted(order) == list(g.vertices())
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        corpus.apollonian(200, 1),
+        corpus.planar_girth_5(100, 2),
+        corpus.gnp(80, 0.08, 3),
+        corpus.random_unicyclic(200, 4),
+    ],
+)
+def test_mad_dinkelbach_matches_bisection_on_larger_graphs(g):
+    assert mad_exact(g) == mad_by_bisection(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_n=14))
+def test_degeneracy_heap_matches_min_loop(g):
+    assert degeneracy(g) == degeneracy_by_min(g)
+
+
+def test_degeneracy_heap_matches_min_loop_on_larger_graphs():
+    for g in (corpus.apollonian(1000, 5), corpus.gnp(300, 0.03, 6)):
+        assert degeneracy(g) == degeneracy_by_min(g)
+
+
+@pytest.mark.parametrize("n", [500, 2000, 4000])
+def test_degeneracy_equals_networkx_max_core(n):
+    nx = pytest.importorskip("networkx")
+    g = corpus.apollonian(n, n)
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices())
+    h.add_edges_from(g.edges())
+    assert degeneracy(g)[0] == max(nx.core_number(h).values())
 
 
 def test_mad_known_values():
