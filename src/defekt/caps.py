@@ -2,9 +2,10 @@
 
 Every brute-force routine refuses inputs above its cap instead of silently
 running forever.  Defaults are sized so each capped search finishes in
-seconds.  Override globally through the ``DEFEKT_CAPS`` environment variable
-(a JSON object such as ``{"mad_bruteforce": 18}``) or per call via the
-``cap`` keyword the routines accept.
+seconds.  Every routine reads its cap from ``current_caps()`` when called;
+override them through the ``DEFEKT_CAPS`` environment variable (a JSON object
+such as ``{"mad_bruteforce": 18}``, unknown keys rejected), which the CLI's
+``--cap NAME=VALUE`` overlays for one invocation.
 """
 
 from __future__ import annotations
@@ -31,10 +32,6 @@ class Caps:
     kd_colour_k3: int = 12
     choosability_vertices: int = 8
     gadget_vertices: int = 500_000
-    partition_exhaustive_edges: int = 20
-
-    def replace(self, **overrides) -> "Caps":
-        return dataclasses.replace(self, **overrides)
 
 
 _FIELDS = {f.name for f in dataclasses.fields(Caps)}

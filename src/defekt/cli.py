@@ -50,7 +50,6 @@ from .structure import (
     minor_test_bruteforce,
     tree_depth,
     validate_certificate,
-    validate_kst_star,
     validate_minor_model,
     vertex_cover_number,
 )
@@ -222,17 +221,7 @@ def _cmd_detect(args) -> tuple[int, object]:
 
 
 def _trace_payload(g: Graph, vertex_limit: int, edge_limit: int) -> list[dict]:
-    trace = build_peel_trace(g, vertex_limit, edge_limit)
-    steps = []
-    for step in trace.steps:
-        if step.kind == "remove-vertex":
-            steps.append(
-                {"kind": step.kind, "vertex": step.vertex,
-                 "neighbours": list(step.neighbours)}
-            )
-        else:
-            steps.append({"kind": step.kind, "edge": list(step.edge)})
-    return steps
+    return [step.to_payload() for step in build_peel_trace(g, vertex_limit, edge_limit).steps]
 
 
 def _cmd_colour(args) -> tuple[int, object]:
@@ -274,10 +263,7 @@ def _cmd_colour(args) -> tuple[int, object]:
         if outcome.colours is not None:
             payload["colours"] = _colour_map(outcome.colours)
         else:
-            payload["embedding"] = {
-                "kind": outcome.embedding.kind,
-                "mapping": list(outcome.embedding.mapping),
-            }
+            payload["embedding"] = outcome.embedding.to_payload()
         return 0, payload
     if args.limit is None:
         raise ValidationError("partition mode needs --limit")
@@ -293,49 +279,44 @@ def _cmd_colour(args) -> tuple[int, object]:
     return 0, payload
 
 
+def _check_dichotomy(args, g: Graph, cert) -> list[str]:
+    # each kind reads only the flags the table requires for it
+    return validate_certificate(g, cert, args.s, args.t, args.ell)
+
+
+# kind -> (certificate type, verify flags it needs, validator)
+CERTIFICATES = {
+    "low-degree-vertex": (LowDegreeVertex, ("s", "ell"), _check_dichotomy),
+    "light-edge": (LightEdge, ("s", "ell"), _check_dichotomy),
+    "kst-star": (KstStarEmbedding, ("s", "t"), _check_dichotomy),
+    "minor-model": (
+        MinorModel, ("pattern",),
+        lambda args, g, cert: validate_minor_model(g, _load_graph(args.pattern), cert),
+    ),
+    "tree-embedding": (
+        TreeEmbedding, ("tree",),
+        lambda args, g, cert: validate_tree_embedding(g, _load_graph(args.tree), cert),
+    ),
+}
+
+
 def _verify_certificate(args, g: Graph) -> tuple[int, object]:
-    data = json.loads(_read_text(args.certificate))
+    try:
+        data = json.loads(_read_text(args.certificate))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValidationError(f"certificate is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValidationError("certificate must be a JSON object")
     kind = data.get("kind")
-    if kind == "low-degree-vertex":
-        cert = LowDegreeVertex(vertex=data["vertex"], degree=data["degree"])
-    elif kind == "light-edge":
-        cert = LightEdge(edge=tuple(data["edge"]), degrees=tuple(data["degrees"]))
-    elif kind == "kst-star":
-        cert = KstStarEmbedding(
-            centres=tuple(data["centres"]),
-            outer=tuple(data["outer"]),
-            pair_vertices=tuple(
-                (tuple(p), w) for p, w in data["pair_vertices"]
-            ),
+    if not isinstance(kind, str) or kind not in CERTIFICATES:
+        raise ValidationError(
+            f"unknown certificate kind {kind!r}; choose from {sorted(CERTIFICATES)}"
         )
-    elif kind == "minor-model":
-        if args.pattern is None:
-            raise ValidationError("minor-model certificates need --pattern FILE")
-        model = MinorModel(
-            branch_sets=tuple(tuple(b) for b in data["branch_sets"])
-        )
-        problems = validate_minor_model(g, _load_graph(args.pattern), model)
-        return (0, {"valid": True, "kind": kind}) if not problems else (
-            STRUCTURAL_ERROR, {"valid": False, "kind": kind, "problems": problems}
-        )
-    elif kind == "tree-embedding":
-        if args.tree is None:
-            raise ValidationError("tree-embedding certificates need --tree FILE")
-        emb = TreeEmbedding(mapping=tuple(data["mapping"]))
-        problems = validate_tree_embedding(g, _load_graph(args.tree), emb)
-        return (0, {"valid": True, "kind": kind}) if not problems else (
-            STRUCTURAL_ERROR, {"valid": False, "kind": kind, "problems": problems}
-        )
-    else:
-        raise ValidationError(f"unknown certificate kind {kind!r}")
-    if isinstance(cert, KstStarEmbedding):
-        if args.s is None or args.t is None:
-            raise ValidationError("kst-star certificates need --s and --t")
-        problems = validate_kst_star(g, cert, args.s, args.t)
-    else:
-        if args.s is None or args.ell is None:
-            raise ValidationError(f"{kind} certificates need --s and --ell")
-        problems = validate_certificate(g, cert, args.s, args.t or 1, args.ell)
+    cls, flags, check = CERTIFICATES[kind]
+    if any(getattr(args, flag) is None for flag in flags):
+        needed = " and ".join(f"--{flag}" for flag in flags)
+        raise ValidationError(f"{kind} certificates need {needed}")
+    problems = check(args, g, cls.from_payload(data))
     if problems:
         return STRUCTURAL_ERROR, {"valid": False, "kind": kind, "problems": problems}
     return 0, {"valid": True, "kind": kind}
@@ -437,8 +418,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="write the report here instead of stdout")
     parser.add_argument("--cap", metavar="NAME=VALUE", action="append",
                         default=None, help="override one oracle size cap")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for generated corpora")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -519,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="edge-list", help="graph output format")
     p.add_argument("--out", metavar="FILE", default=None)
     p.add_argument("--cap", metavar="NAME=VALUE", action="append", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_gadget)
 
     p = sub.add_parser("experiment", help="run a seeded check suite")
@@ -528,6 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the instance count")
     p.add_argument("--size", type=int, default=None,
                    help="override the instance size")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for generated corpora")
     _add_common(p)
     p.set_defaults(handler=_cmd_experiment)
 
@@ -537,9 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    out = sys.stdout
-    buffer = io.StringIO() if args.out else None
-    target = buffer if buffer is not None else out
+    target = io.StringIO() if args.out else sys.stdout
     # --cap works by overlaying the env var; put it back afterwards so that
     # embedding callers (and the test suite) see no lasting change
     saved_caps = os.environ.get(caps_mod.ENV_VAR)
@@ -550,16 +528,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except StructuralError as exc:
-        report = {
+        # the failure report is JSON whatever --format asks for
+        code = STRUCTURAL_ERROR
+        payload = json.dumps({
             "error": type(exc).__name__,
             "message": str(exc),
             "witness": _witness_payload(exc.witness),
-        }
-        target.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-        if buffer is not None:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(buffer.getvalue())
-        return STRUCTURAL_ERROR
+        }, sort_keys=True, indent=2) + "\n"
     finally:
         if saved_caps is None:
             os.environ.pop(caps_mod.ENV_VAR, None)
@@ -572,9 +547,9 @@ def main(argv: list[str] | None = None) -> int:
             _emit_rows(payload, args.format, target)
         else:
             _emit_payload(payload, getattr(args, "format", "json"), target)
-    if buffer is not None:
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(buffer.getvalue())
+            fh.write(target.getvalue())
     return code
 
 

@@ -14,11 +14,11 @@ equality.  All public functions either return a verified object or raise.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, floor
-from typing import Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .bounds import n1
 from .caps import current_caps
@@ -31,8 +31,8 @@ from .errors import (
     ValidationError,
 )
 from .gadgets import gen_kell_H
-from .graphs import Graph, contract_components, induced_subgraph, is_tree
-from .structure import MinorModel, minor_test_bruteforce, validate_minor_model
+from .graphs import Graph, connected_components, contract_components, induced_subgraph, is_tree
+from .structure import Certificate, MinorModel, minor_test_bruteforce, validate_minor_model
 
 ColourAssignment = tuple[int, ...]
 ListAssignment = Sequence[Sequence[int]]
@@ -67,7 +67,7 @@ def verify_defective(
 # peel traces
 
 @dataclass(frozen=True)
-class RemoveVertex:
+class RemoveVertex(Certificate):
     """A vertex deleted while its degree was at most the vertex threshold.
 
     ``neighbours`` records the adjacency at removal time; edges to vertices
@@ -76,16 +76,18 @@ class RemoveVertex:
 
     vertex: int
     neighbours: tuple[int, ...]
-    kind: str = field(default="remove-vertex", init=False)
+
+    kind = "remove-vertex"
 
 
 @dataclass(frozen=True)
-class RemoveEdge:
+class RemoveEdge(Certificate):
     """An edge deleted while both endpoint degrees were at most the edge
     threshold."""
 
     edge: tuple[int, int]
-    kind: str = field(default="remove-edge", init=False)
+
+    kind = "remove-edge"
 
 
 PeelStep = Union[RemoveVertex, RemoveEdge]
@@ -246,15 +248,55 @@ def defective_list_colour(
 # ---------------------------------------------------------------------------
 # exhaustive oracles
 
+def _backtrack(
+    g: Graph, d: int, choices: Callable[[int, int], Iterable[int]]
+) -> list[int] | None:
+    """Colour vertices in id order with defect at most ``d``, or return None.
+
+    ``choices(v, top)`` yields the colours vertex ``v`` tries, in order,
+    where ``top`` is the largest colour used so far (-1 before any).
+    Assignments are pruned as soon as any vertex collects more than ``d``
+    same-coloured neighbours.
+    """
+    colours: list[int | None] = [None] * g.n
+    same = [0] * g.n  # same-coloured neighbours among already-coloured
+
+    def assign(v: int, top: int) -> bool:
+        if v == g.n:
+            return True
+        for c in choices(v, top):
+            bumped = []
+            cnt = 0
+            ok = True
+            for w in g.neighbours(v):
+                if colours[w] == c:
+                    cnt += 1
+                    if cnt > d or same[w] + 1 > d:
+                        ok = False
+                        break
+                    bumped.append(w)
+            if ok:
+                colours[v] = c
+                same[v] = cnt
+                for w in bumped:
+                    same[w] += 1
+                if assign(v + 1, max(top, c)):
+                    return True
+                for w in bumped:
+                    same[w] -= 1
+                colours[v] = None
+        return False
+
+    return colours if assign(0, -1) else None  # type: ignore[return-value]
+
+
 def is_kd_colourable_bruteforce(
-    g: Graph, k: int, d: int, cap: int | None = None
+    g: Graph, k: int, d: int
 ) -> tuple[bool, ColourAssignment | None]:
     """Exact (k,d)-colourability by exhaustive search.
 
     Colour classes are interchangeable, so vertex i only ever tries colours
-    up to one past the largest colour used before it.  Assignments are
-    pruned as soon as any vertex collects more than ``d`` same-coloured
-    neighbours.
+    up to one past the largest colour used before it.
     """
     if k < 1:
         raise ValidationError("need k >= 1")
@@ -265,79 +307,16 @@ def is_kd_colourable_bruteforce(
     if k == 1:
         colouring = (0,) * g.n
         return (g.max_degree() <= d, colouring if g.max_degree() <= d else None)
-    if cap is None:
-        caps = current_caps()
-        cap = caps.kd_colour_k2 if k == 2 else caps.kd_colour_k3
+    caps = current_caps()
+    cap = caps.kd_colour_k2 if k == 2 else caps.kd_colour_k3
     if g.n > cap:
         raise CapExceededError(
             f"exhaustive colouring needs n <= {cap} for k = {k}, got {g.n}"
         )
-
-    colours = [-1] * g.n
-    same = [0] * g.n  # same-coloured neighbours among already-coloured
-
-    def assign(v: int, highest: int) -> bool:
-        if v == g.n:
-            return True
-        for c in range(min(highest + 1, k - 1) + 1):
-            bumped = []
-            cnt = 0
-            ok = True
-            for w in g.neighbours(v):
-                if colours[w] == c:
-                    cnt += 1
-                    if cnt > d or same[w] + 1 > d:
-                        ok = False
-                        break
-                    bumped.append(w)
-            if ok:
-                colours[v] = c
-                same[v] = cnt
-                for w in bumped:
-                    same[w] += 1
-                if assign(v + 1, max(highest, c)):
-                    return True
-                for w in bumped:
-                    same[w] -= 1
-                colours[v] = -1
-        return False
-
-    if assign(0, -1):
-        return True, tuple(colours)
-    return False, None
-
-
-def _exists_list_colouring(g: Graph, lists: Sequence[tuple[int, ...]], d: int) -> bool:
-    colours: list[int | None] = [None] * g.n
-    same = [0] * g.n
-
-    def assign(v: int) -> bool:
-        if v == g.n:
-            return True
-        for c in lists[v]:
-            bumped = []
-            cnt = 0
-            ok = True
-            for w in g.neighbours(v):
-                if colours[w] == c:
-                    cnt += 1
-                    if cnt > d or same[w] + 1 > d:
-                        ok = False
-                        break
-                    bumped.append(w)
-            if ok:
-                colours[v] = c
-                same[v] = cnt
-                for w in bumped:
-                    same[w] += 1
-                if assign(v + 1):
-                    return True
-                for w in bumped:
-                    same[w] -= 1
-                colours[v] = None
-        return False
-
-    return assign(0)
+    colours = _backtrack(g, d, lambda v, top: range(min(top + 1, k - 1) + 1))
+    if colours is None:
+        return False, None
+    return True, tuple(colours)
 
 
 def choosability_check_bounded_palette(
@@ -368,7 +347,7 @@ def choosability_check_bounded_palette(
     first = subsets[0]  # == (1, .., k)
     for rest in product(subsets, repeat=g.n - 1):
         lists = (first,) + rest
-        if not _exists_list_colouring(g, lists, d):
+        if _backtrack(g, d, lambda v, top: lists[v]) is None:
             return False
     return True
 
@@ -377,11 +356,12 @@ def choosability_check_bounded_palette(
 # colouring graphs that exclude a fixed tree
 
 @dataclass(frozen=True)
-class TreeEmbedding:
+class TreeEmbedding(Certificate):
     """Injective map of a tree's vertices onto host vertices, edge for edge."""
 
     mapping: tuple[int, ...]
-    kind: str = field(default="tree-embedding", init=False)
+
+    kind = "tree-embedding"
 
 
 @dataclass(frozen=True)
@@ -640,21 +620,18 @@ def colour_kell(g: Graph, ell: int, k: int) -> KellResult:
             return KellResult(kind="minor", diagnostics=diagnostics, minor_model=model)
 
     masks = g.masks
-    q_adj: list[list[int]] = [[] for _ in range(g.n)]
-    q_edge_count = 0
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if (masks[u] & masks[v]).bit_count() >= r:
-                q_adj[u].append(v)
-                q_adj[v].append(u)
-                q_edge_count += 1
-    diagnostics["aux_edges"] = q_edge_count
-    x_set = {v for v in range(g.n) if q_adj[v]}
-    diagnostics["linked_vertices"] = len(x_set)
+    aux = Graph(g.n, [
+        (u, v)
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+        if (masks[u] & masks[v]).bit_count() >= r
+    ])
+    diagnostics["aux_edges"] = aux.m
+    diagnostics["linked_vertices"] = sum(1 for v in range(g.n) if aux.degree(v))
 
-    hub = next((v for v in range(g.n) if len(q_adj[v]) >= ell), None)
+    hub = next((v for v in range(g.n) if aux.degree(v) >= ell), None)
     if hub is not None:
-        model = _extract_pattern_model(g, q_adj, hub, ell, k)
+        model = _extract_pattern_model(g, aux, hub, ell, k)
         problems = validate_minor_model(g, pattern, model)
         if problems:
             raise AlgorithmError(f"hub extraction produced a bad model: {problems}")
@@ -662,23 +639,7 @@ def colour_kell(g: Graph, ell: int, k: int) -> KellResult:
         return KellResult(kind="minor", diagnostics=diagnostics, minor_model=model)
 
     # contract auxiliary components; singletons stay themselves
-    comp = [-1] * g.n
-    parts: list[list[int]] = []
-    for v in range(g.n):
-        if comp[v] >= 0:
-            continue
-        comp[v] = len(parts)
-        block = [v]
-        queue = [v]
-        while queue:
-            w = queue.pop()
-            for u in q_adj[w]:
-                if comp[u] < 0:
-                    comp[u] = comp[v]
-                    block.append(u)
-                    queue.append(u)
-        parts.append(sorted(block))
-    quotient, proj = contract_components(g, parts)
+    quotient, proj = contract_components(g, connected_components(aux))
     diagnostics["quotient_vertices"] = quotient.n
 
     if quotient.m == 0:
@@ -743,7 +704,7 @@ def colour_kell(g: Graph, ell: int, k: int) -> KellResult:
 
 
 def _extract_pattern_model(
-    g: Graph, q_adj: list[list[int]], hub: int, ell: int, k: int
+    g: Graph, aux: Graph, hub: int, ell: int, k: int
 ) -> MinorModel:
     """Model of the dominated star union rooted at an auxiliary vertex with
     ``ell`` auxiliary neighbours.
@@ -752,7 +713,7 @@ def _extract_pattern_model(
     k+1 fresh ones per auxiliary neighbour always exist: one is merged into
     the star centre, k stay as leaves.
     """
-    spokes = sorted(q_adj[hub])[:ell]
+    spokes = aux.neighbours(hub)[:ell]
     masks = g.masks
     forbidden = {hub, *spokes}
     chosen: set[int] = set()

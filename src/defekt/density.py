@@ -148,11 +148,11 @@ def mad_exact(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
     return 2 * best, tuple(best_set)
 
 
-def mad_bruteforce(g: Graph, cap: int | None = None) -> tuple[Fraction, tuple[int, ...]]:
+def mad_bruteforce(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
     """Maximum average degree by subset enumeration; oracle for small graphs."""
     if g.n == 0:
         raise ValidationError("density of the empty graph is undefined")
-    limit = cap if cap is not None else current_caps().mad_bruteforce
+    limit = current_caps().mad_bruteforce
     if g.n > limit:
         raise CapExceededError(f"brute force needs n <= {limit}, got {g.n}")
     masks = g.masks
@@ -254,7 +254,7 @@ def _identity_witness(g: Graph, vertices: tuple[int, ...]) -> SubdivisionWitness
 
 
 def top_grad_half(
-    g: Graph, cap: int | None = None, *, _mad_witness: tuple[int, ...] | None = None
+    g: Graph, *, _mad_witness: tuple[int, ...] | None = None
 ) -> tuple[Fraction, SubdivisionWitness, str]:
     """Densest edge/vertex ratio over graphs with a (<=1)-subdivision in ``g``.
 
@@ -267,7 +267,7 @@ def top_grad_half(
     """
     if g.n == 0:
         raise ValidationError("density of the empty graph is undefined")
-    limit = cap if cap is not None else current_caps().top_grad
+    limit = current_caps().top_grad
     mad_set = _mad_witness if _mad_witness is not None else mad_exact(g)[1]
     best_num = _edges_inside(g, list(mad_set))
     best_den = len(mad_set)
@@ -383,10 +383,10 @@ class DensityReport:
         }
 
 
-def build_report(g: Graph, top_grad_cap: int | None = None) -> DensityReport:
+def build_report(g: Graph) -> DensityReport:
     mad, wit = mad_exact(g)
     k, _ = degeneracy(g)
-    tg, _, method = top_grad_half(g, cap=top_grad_cap, _mad_witness=wit)
+    tg, _, method = top_grad_half(g, _mad_witness=wit)
     return DensityReport(
         mad=mad,
         mad_witness=wit,

@@ -9,9 +9,10 @@ pure function here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 from math import floor
+from typing import ClassVar, get_args, get_type_hints
 
 from .bounds import n1
 from .caps import current_caps
@@ -23,30 +24,79 @@ from .matching import max_bipartite_matching
 # ---------------------------------------------------------------------------
 # certificate types
 
+class Certificate:
+    """Base of every certificate dataclass; owns the JSON wire format.
+
+    A payload is ``kind`` plus one entry per dataclass field, with tuples
+    written as lists.  ``from_payload`` reads a payload back, checking each
+    value against its field's annotation (``int`` or a fixed- or
+    variable-length ``tuple`` of those) so malformed input raises
+    ``ValidationError`` instead of reaching the validators.
+    """
+
+    kind: ClassVar[str]
+
+    def to_payload(self) -> dict:
+        payload = {"kind": self.kind}
+        for f in fields(self):
+            payload[f.name] = _to_json(getattr(self, f.name))
+        return payload
+
+    @classmethod
+    def from_payload(cls, data: object):
+        if not isinstance(data, dict):
+            raise ValidationError(f"{cls.kind} certificate must be a JSON object")
+        if data.get("kind") != cls.kind:
+            raise ValidationError(f"expected kind {cls.kind!r}, got {data.get('kind')!r}")
+        hints = get_type_hints(cls)
+        values = {}
+        for f in fields(cls):
+            if f.name not in data:
+                raise ValidationError(f"{cls.kind} certificate misses {f.name!r}")
+            values[f.name] = _from_json(data[f.name], hints[f.name], f.name)
+        return cls(**values)
+
+
+def _to_json(value):
+    if isinstance(value, tuple):
+        return [_to_json(x) for x in value]
+    return value
+
+
+def _from_json(value, annotation, where: str):
+    if annotation is int:
+        # bool is an int subclass, but true is not a vertex
+        if type(value) is not int:
+            raise ValidationError(f"{where} must be an integer, got {value!r}")
+        return value
+    if not isinstance(value, list):
+        raise ValidationError(f"{where} must be a list, got {value!r}")
+    args = get_args(annotation)
+    if len(args) == 2 and args[1] is Ellipsis:
+        args = (args[0],) * len(value)
+    elif len(value) != len(args):
+        raise ValidationError(f"{where} must have {len(args)} entries, got {len(value)}")
+    return tuple(_from_json(x, a, where) for x, a in zip(value, args))
+
+
 @dataclass(frozen=True)
-class LowDegreeVertex:
+class LowDegreeVertex(Certificate):
     vertex: int
     degree: int
 
     kind = "low-degree-vertex"
 
-    def to_payload(self) -> dict:
-        return {"kind": self.kind, "vertex": self.vertex, "degree": self.degree}
-
 
 @dataclass(frozen=True)
-class LightEdge:
+class LightEdge(Certificate):
     edge: tuple[int, int]
     degrees: tuple[int, int]
 
     kind = "light-edge"
 
-    def to_payload(self) -> dict:
-        return {"kind": self.kind, "edge": list(self.edge), "degrees": list(self.degrees)}
-
 
 @dataclass(frozen=True)
-class KstStarEmbedding:
+class KstStarEmbedding(Certificate):
     """K_{s,t} plus one private common neighbour per pair of the s-side.
 
     ``centres`` is the s-side, ``outer`` the t vertices adjacent to every
@@ -60,28 +110,17 @@ class KstStarEmbedding:
 
     kind = "kst-star"
 
-    def to_payload(self) -> dict:
-        return {
-            "kind": self.kind,
-            "centres": list(self.centres),
-            "outer": list(self.outer),
-            "pair_vertices": [[list(p), w] for p, w in self.pair_vertices],
-        }
-
 
 DichotomyCertificate = LowDegreeVertex | LightEdge | KstStarEmbedding
 
 
 @dataclass(frozen=True)
-class MinorModel:
+class MinorModel(Certificate):
     """Disjoint connected branch sets indexed by pattern vertex."""
 
     branch_sets: tuple[tuple[int, ...], ...]
 
     kind = "minor-model"
-
-    def to_payload(self) -> dict:
-        return {"kind": self.kind, "branch_sets": [list(b) for b in self.branch_sets]}
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +282,7 @@ def validate_certificate(
 # ---------------------------------------------------------------------------
 # exact minor containment
 
-def minor_test_bruteforce(
-    g: Graph,
-    h: Graph,
-    host_cap: int | None = None,
-    pattern_cap: int | None = None,
-) -> MinorModel | None:
+def minor_test_bruteforce(g: Graph, h: Graph) -> MinorModel | None:
     """Exhaustive branch-set search for ``h`` as a minor of ``g``.
 
     Branch sets are grown as connected subsets in a canonical order, pattern
@@ -257,12 +291,10 @@ def minor_test_bruteforce(
     Exact within the caps; returns the first model found or None.
     """
     caps = current_caps()
-    h_limit = pattern_cap if pattern_cap is not None else caps.minor_pattern
-    g_limit = host_cap if host_cap is not None else caps.minor_host
-    if g.n > g_limit:
-        raise CapExceededError(f"host has {g.n} vertices, cap is {g_limit}")
-    if h.n > h_limit:
-        raise CapExceededError(f"pattern has {h.n} vertices, cap is {h_limit}")
+    if g.n > caps.minor_host:
+        raise CapExceededError(f"host has {g.n} vertices, cap is {caps.minor_host}")
+    if h.n > caps.minor_pattern:
+        raise CapExceededError(f"pattern has {h.n} vertices, cap is {caps.minor_pattern}")
     if h.n == 0:
         return MinorModel(branch_sets=())
     if h.n > g.n or h.m > g.m:
@@ -427,6 +459,8 @@ def validate_minor_model(g: Graph, h: Graph, model: MinorModel) -> list[str]:
         start = bmask & -bmask
         if component_mask(masks, bmask, start) != bmask:
             problems.append(f"branch set {i} is not connected")
+    if any(not 0 <= v < g.n for bset in model.branch_sets for v in bset):
+        return problems
     for u, v in h.edges():
         found = any(
             g.has_edge(x, y)
@@ -441,9 +475,9 @@ def validate_minor_model(g: Graph, h: Graph, model: MinorModel) -> list[str]:
 # ---------------------------------------------------------------------------
 # small pattern invariants
 
-def vertex_cover_number(g: Graph, cap: int | None = None) -> tuple[int, tuple[int, ...]]:
+def vertex_cover_number(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact minimum vertex cover by branch and bound on the max-degree vertex."""
-    limit = cap if cap is not None else current_caps().vertex_cover
+    limit = current_caps().vertex_cover
     if g.n > limit:
         raise CapExceededError(f"vertex cover needs n <= {limit}, got {g.n}")
     masks = g.masks
@@ -496,9 +530,9 @@ def vertex_cover_number(g: Graph, cap: int | None = None) -> tuple[int, tuple[in
     return best_size, tuple(bits_of(best_mask))
 
 
-def tree_depth(g: Graph, cap: int | None = None) -> int:
+def tree_depth(g: Graph) -> int:
     """Exact tree-depth by memoized component recursion."""
-    limit = cap if cap is not None else current_caps().tree_depth
+    limit = current_caps().tree_depth
     if g.n > limit:
         raise CapExceededError(f"tree depth needs n <= {limit}, got {g.n}")
     if g.n == 0:

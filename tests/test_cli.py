@@ -138,11 +138,77 @@ def test_usage_errors_exit_two(tmp_path, capsys):
 def test_malformed_json_graph_is_usage_error(tmp_path, capsys, text):
     graph = tmp_path / "g.json"
     graph.write_text(text)
-    code = main(["analyze", str(graph)])
+    assert_usage_error(capsys, "analyze", str(graph))
+
+
+def assert_usage_error(capsys, *argv):
+    code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+C4_FLAGS = {
+    "low-degree-vertex": ["--s", "3", "--ell", "2"],
+    "light-edge": ["--s", "2", "--ell", "2"],
+    "kst-star": ["--s", "2", "--t", "1"],
+    "minor-model": ["--pattern", "K3"],
+    "tree-embedding": ["--tree", "P3"],
+}
+
+
+def verify_c4(tmp_path, certificate: str, kind: str):
+    graph = tmp_path / "c4.txt"
+    graph.write_text("0 1\n1 2\n2 3\n3 0\n")
+    (tmp_path / "K3").write_text("0 1\n1 2\n0 2\n")
+    (tmp_path / "P3").write_text("0 1\n1 2\n")
+    cert = tmp_path / "cert.json"
+    cert.write_text(certificate)
+    flags = [str(tmp_path / f) if f in ("K3", "P3") else f for f in C4_FLAGS[kind]]
+    return [str(graph), "--certificate", str(cert), *flags]
+
+
+@pytest.mark.parametrize(
+    "kind, certificate",
+    [
+        ("low-degree-vertex", '{"kind": "low-degree-vertex", "vertex": 0, "degree": 2}'),
+        ("light-edge", '{"kind": "light-edge", "edge": [0, 1], "degrees": [2, 2]}'),
+        ("minor-model", '{"kind": "minor-model", "branch_sets": [[0], [1], [2, 3]]}'),
+        ("tree-embedding", '{"kind": "tree-embedding", "mapping": [3, 0, 1]}'),
+    ],
+)
+def test_verify_accepts_each_certificate_kind(tmp_path, capsys, kind, certificate):
+    code, out = run(capsys, "verify", *verify_c4(tmp_path, certificate, kind))
+    assert code == 0
+    assert json.loads(out) == {"valid": True, "kind": kind}
+
+
+@pytest.mark.parametrize(
+    "kind, certificate",
+    [
+        ("low-degree-vertex", "not json"),
+        ("low-degree-vertex", "[0, 2]"),
+        ("low-degree-vertex", '{"kind": "low-degree-vertex", "vertex": 0}'),
+        ("light-edge", '{"kind": "light-edge", "edge": [0, 1, 2], "degrees": [2, 2]}'),
+        ("kst-star",
+         '{"kind": "kst-star", "centres": [0, 2], "outer": [1], "pair_vertices": [[0, 2]]}'),
+        ("minor-model", '{"kind": "minor-model", "branch_sets": [0, 1, 2]}'),
+        ("low-degree-vertex", '{"kind": "low-degree-vertex", "vertex": "0", "degree": 2}'),
+        ("low-degree-vertex", '{"kind": "low-degree-vertex", "vertex": true, "degree": 2}'),
+        ("tree-embedding", '{"kind": "tree-embedding", "mapping": ["a"]}'),
+        ("minor-model", '{"kind": ["minor-model"], "branch_sets": []}'),
+        ("light-edge", '{"kind": "minor-model", "branch_sets": [[0], [1], [2, 3]]}'),
+        ("minor-model", "[" * 100_000),
+    ],
+    ids=["not-json", "json-list", "missing-field", "three-entry-edge",
+         "bad-pair-vertices", "flat-branch-sets", "string-vertex", "bool-vertex",
+         "string-in-mapping", "unhashable-kind", "minor-model-without-pattern",
+         "nested-too-deep"],
+)
+def test_malformed_certificate_is_usage_error(tmp_path, capsys, kind, certificate):
+    assert_usage_error(capsys, "verify", *verify_c4(tmp_path, certificate, kind))
 
 
 def test_missing_file_is_usage_error(capsys):
@@ -196,9 +262,16 @@ def test_cap_override_bad_pairs(capsys):
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code = main(["bounds", "earth-moon", "--out", str(target)])
-    capsys.readouterr()
+    assert capsys.readouterr().out == ""
     assert code == 0
     assert json.loads(target.read_text())[0]["colours"] == 5
+    graph = tmp_path / "k4.txt"
+    graph.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    code = main(["colour", str(graph), "--mode", "list", "--k", "1", "--ell", "2",
+                 "--out", str(target)])
+    assert capsys.readouterr().out == ""
+    assert code == 1
+    assert json.loads(target.read_text())["error"] == "StructuralError"
 
 
 def test_module_entry_point():

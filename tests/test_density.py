@@ -158,9 +158,10 @@ def test_top_grad_known_values():
     assert top_grad_half(gadgets.star(3))[0] == Fraction(3, 4)
 
 
-def test_top_grad_above_cap_degrades_to_lower_bound():
+def test_top_grad_above_cap_degrades_to_lower_bound(monkeypatch):
+    monkeypatch.setenv("DEFEKT_CAPS", '{"top_grad": 3}')
     g = gadgets.complete(6)
-    value, witness, method = top_grad_half(g, cap=3)
+    value, witness, method = top_grad_half(g)
     assert method == "heuristic-lower-bound"
     assert value == Fraction(5, 2)
     assert validate_subdivision_witness(g, witness) == []

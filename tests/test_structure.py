@@ -1,11 +1,13 @@
 """Structure searches against independent brute-force references."""
 
+import json
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 
 from defekt import gadgets
+from defekt.colouring import build_peel_trace, colour_tree_free
 from defekt.density import mad_exact, top_grad_half
 from defekt.errors import CapExceededError, PreconditionRefutedError
 from defekt.graphs import Graph, connected_components, is_isomorphic
@@ -46,6 +48,33 @@ def test_kst_star_detects_its_own_gadget():
 def test_kst_star_absent_in_sparse_hosts():
     assert find_kst_star(gadgets.cycle(8), 2, 1) is None
     assert find_kst_star(gadgets.path(6), 2, 1) is None
+
+
+def _peel_step(kind):
+    trace = build_peel_trace(gadgets.complete(4), 1, 3)
+    return next(step for step in trace.steps if step.kind == kind)
+
+
+@pytest.mark.parametrize(
+    "kind, make",
+    [
+        ("low-degree-vertex", lambda: structural_dichotomy(gadgets.path(3), 2, 2, 2, 2)),
+        ("light-edge", lambda: structural_dichotomy(gadgets.cycle(5), 2, 2, 2, 2)),
+        ("kst-star", lambda: find_kst_star(gadgets.gen_kst_star(3, 2), 3, 2)),
+        ("minor-model",
+         lambda: minor_test_bruteforce(gadgets.petersen(), gadgets.complete(5))),
+        ("tree-embedding",
+         lambda: colour_tree_free(gadgets.complete(4), gadgets.path(3)).embedding),
+        ("remove-vertex", lambda: _peel_step("remove-vertex")),
+        ("remove-edge", lambda: _peel_step("remove-edge")),
+    ],
+)
+def test_certificate_payload_round_trip(kind, make):
+    cert = make()
+    assert cert.kind == kind
+    payload = json.loads(json.dumps(cert.to_payload()))
+    assert payload["kind"] == kind
+    assert type(cert).from_payload(payload) == cert
 
 
 def test_validate_kst_star_catches_corruption():
@@ -160,6 +189,8 @@ def test_validate_minor_model_catches_defects():
     assert any("connected" in p for p in validate_minor_model(g, h, split))
     short = MinorModel(branch_sets=((0,), (1,)))
     assert validate_minor_model(g, h, short) != []
+    outside = MinorModel(branch_sets=((99,), (1,), (2,)))
+    assert validate_minor_model(g, h, outside) == ["branch set 0 out of range"]
 
 
 def naive_vertex_cover(g: Graph) -> int:
