@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 from .errors import ValidationError
 from .rationals import Enclosure, exact, sqrt_enclosure
@@ -20,7 +20,12 @@ from .rationals import Enclosure, exact, sqrt_enclosure
 def _fr(x) -> Fraction:
     if isinstance(x, float):
         raise ValidationError("floats are not accepted; pass ints or 'p/q' strings")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValidationError(
+            f"{x!r} is not a rational; pass an int or a 'p/q' string"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +301,12 @@ FORMULAS: dict[str, tuple] = {
 
 
 def evaluate(formula_id: str, **params) -> BoundResult:
-    """Evaluate a registered formula by id. Unknown ids raise."""
+    """Evaluate a registered formula by id.
+
+    Unknown ids, missing or unexpected parameters, a non-int (or bool) value
+    for a parameter the formula annotates as ``int``, and a rational one that
+    ``Fraction`` cannot read all raise ``ValidationError``.
+    """
     if formula_id not in FORMULAS:
         raise ValidationError(f"unknown formula {formula_id!r}")
     fn, names = FORMULAS[formula_id]
@@ -307,5 +317,11 @@ def evaluate(formula_id: str, **params) -> BoundResult:
             f"{formula_id} expects parameters {list(names)}; "
             f"missing {missing}, unexpected {extra}"
         )
+    hints = get_type_hints(fn)
+    for name in names:
+        if hints.get(name) is int and type(params[name]) is not int:
+            raise ValidationError(
+                f"{formula_id} parameter {name!r} must be an integer, got {params[name]!r}"
+            )
     value = fn(**params)
     return BoundResult(formula_id=formula_id, params=dict(params), value=value)

@@ -43,7 +43,8 @@ def _parse(raw: str | None) -> Caps:
         return Caps()
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    # ValueError also covers an integer too long to convert
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{ENV_VAR} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValidationError(f"{ENV_VAR} must be a JSON object")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -59,13 +60,16 @@ STRUCTURAL_ERROR = 1
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        name = "stdin" if path == "-" else path
+        raise ParseError(f"{name} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def _load_graph(path: str) -> Graph:
@@ -91,15 +95,20 @@ def _colour_map(colours) -> dict:
     return {str(v): c for v, c in enumerate(colours)}
 
 
-def _parse_colouring(text: str, n: int) -> tuple:
+def _json_object(text: str, what: str) -> dict:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"colouring is not valid JSON: {exc}") from None
+    # ValueError also covers an integer too long to convert
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise ValidationError("colouring must be a JSON object {vertex: colour}")
+        raise ValidationError(f"{what} must be a JSON object")
+    return data
+
+
+def _parse_colouring(text: str, n: int) -> tuple:
     out = [None] * n
-    for key, value in data.items():
+    for key, value in _json_object(text, "colouring").items():
         try:
             v = int(key)
         except ValueError:
@@ -117,10 +126,9 @@ def _apply_caps(pairs: list[str] | None) -> None:
     """Overlay --cap pairs onto DEFEKT_CAPS for this process."""
     if not pairs:
         return
+    caps_mod.current_caps()  # the base must be a valid cap object before it is overlaid
     raw = os.environ.get(caps_mod.ENV_VAR)
     merged = json.loads(raw) if raw else {}
-    if not isinstance(merged, dict):
-        raise ValidationError(f"{caps_mod.ENV_VAR} must be a JSON object")
     for pair in pairs:
         name, sep, value = pair.partition("=")
         if not sep:
@@ -301,12 +309,7 @@ CERTIFICATES = {
 
 
 def _verify_certificate(args, g: Graph) -> tuple[int, object]:
-    try:
-        data = json.loads(_read_text(args.certificate))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValidationError(f"certificate is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ValidationError("certificate must be a JSON object")
+    data = _json_object(_read_text(args.certificate), "certificate")
     kind = data.get("kind")
     if not isinstance(kind, str) or kind not in CERTIFICATES:
         raise ValidationError(
@@ -353,12 +356,7 @@ def _cmd_bounds(args) -> tuple[int, object]:
         return 0, earth_moon_table()
     if args.table is not None:
         raise ValidationError(f"unknown table {args.table!r}; only earth-moon")
-    try:
-        params = json.loads(args.params) if args.params else {}
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"--params is not valid JSON: {exc}") from None
-    if not isinstance(params, dict):
-        raise ValidationError("--params must be a JSON object")
+    params = _json_object(args.params, "--params") if args.params else {}
     return 0, evaluate(name, **params).to_payload()
 
 
@@ -420,7 +418,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         default=None, help="override one oracle size cap")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``defekt`` argument parser, built on the first call and shared by
+    every later one: parsing keeps no state on it, and building it costs more
+    than most small requests."""
     parser = argparse.ArgumentParser(
         prog="defekt",
         description="Defective colouring toolkit: bounded-defect colourings, "
@@ -514,14 +516,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out_dir(path: str | None) -> None:
+    # refuse a mistyped --out before the work, not after it
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValidationError(f"cannot write {path}: no such directory")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     target = io.StringIO() if args.out else sys.stdout
     # --cap works by overlaying the env var; put it back afterwards so that
     # embedding callers (and the test suite) see no lasting change
     saved_caps = os.environ.get(caps_mod.ENV_VAR)
     try:
+        _check_out_dir(args.out)
         _apply_caps(args.cap)
         code, payload = args.handler(args)
     except (ParseError, ValidationError, CapExceededError) as exc:
@@ -548,8 +556,12 @@ def main(argv: list[str] | None = None) -> int:
         else:
             _emit_payload(payload, getattr(args, "format", "json"), target)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(target.getvalue())
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(target.getvalue())
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return USAGE_ERROR
     return code
 
 

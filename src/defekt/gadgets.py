@@ -13,24 +13,46 @@ from .errors import CapExceededError, ValidationError
 from .graphs import Graph, is_tree
 
 
+def _check_order(order: int) -> int:
+    """Return ``order``, or raise ``CapExceededError`` when a construction of
+    that many vertices is above the ``gadget_vertices`` cap.  Every generator
+    calls this before it builds anything."""
+    cap = current_caps().gadget_vertices
+    if order > cap:
+        # a count too long to print is named by its bit length
+        shown = order if order.bit_length() <= 64 else f"over 2**{order.bit_length() - 1}"
+        raise CapExceededError(f"construction would have {shown} vertices, cap is {cap}")
+    return order
+
+
+def _exponent_limit() -> int:
+    """An exponent past which 2**exponent is above the cap and above 2**64,
+    so exponential families can be refused without forming a huge power."""
+    return max(64, current_caps().gadget_vertices.bit_length())
+
+
 # ---------------------------------------------------------------------------
 # standard graphs
 
 def path(n: int) -> Graph:
+    _check_order(n)
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValidationError("cycles need at least 3 vertices")
+    _check_order(n)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n: int) -> Graph:
+    _check_order(n)
     return Graph(n, list(combinations(range(n), 2)))
 
 
 def complete_bipartite(s: int, t: int) -> Graph:
+    _check_order(s + t)
     return Graph(s + t, [(i, s + j) for i in range(s) for j in range(t)])
 
 
@@ -43,6 +65,7 @@ def wheel(rim: int) -> Graph:
     """A cycle of the given length plus a hub (vertex 0) joined to all of it."""
     if rim < 3:
         raise ValidationError("wheels need a rim of at least 3")
+    _check_order(rim + 1)
     edges = [(0, i) for i in range(1, rim + 1)]
     edges += [(i, i % rim + 1) for i in range(1, rim + 1)]
     return Graph(rim + 1, edges)
@@ -89,12 +112,9 @@ def gen_gsn(s: int, N: int) -> Graph:
     instance: it keeps defect unbounded for s-1 colours while excluding
     complete bipartite minors.
     """
-    total = gsn_order(s, N)
-    cap = current_caps().gadget_vertices
-    if total > cap:
-        raise CapExceededError(
-            f"construction would have {total} vertices, cap is {cap}"
-        )
+    # the order at least doubles per level, so clamping s keeps an over-cap
+    # order over the cap, and an order that passes is exact
+    total = _check_order(gsn_order(min(s, _exponent_limit() + 2), N))
 
     def build(level: int, base: int) -> list[tuple[int, int]]:
         # vertices of the block occupy ids base .. base+size-1, root at base
@@ -121,6 +141,7 @@ def gen_kst_star(s: int, t: int) -> Graph:
     """
     if s < 1 or t < 1:
         raise ValidationError("need s >= 1 and t >= 1")
+    _check_order(s + t + s * (s - 1) // 2)
     edges = [(i, s + j) for i in range(s) for j in range(t)]
     nxt = s + t
     for u, v in combinations(range(s), 2):
@@ -172,7 +193,7 @@ def gen_kell_H(ell: int, k: int) -> Graph:
     """
     if ell < 1 or k < 1:
         raise ValidationError("need ell >= 1 and k >= 1")
-    n = 1 + ell * (k + 1)
+    n = _check_order(1 + ell * (k + 1))
     edges = [(0, v) for v in range(1, n)]
     for i in range(ell):
         c = 1 + i * (k + 1)
@@ -187,7 +208,9 @@ def complete_binary_tree(radius: int) -> Graph:
     """
     if radius < 0:
         raise ValidationError("radius must be non-negative")
-    n = 2 ** (radius + 1) - 1
+    # clamping the radius keeps an over-cap order over the cap, and an order
+    # that passes is exact
+    n = _check_order(2 ** (min(radius, _exponent_limit()) + 1) - 1)
     return Graph(n, [(v, (v - 1) // 2) for v in range(1, n)])
 
 

@@ -208,7 +208,8 @@ def from_json(text: str) -> Graph:
     last two are optional, and booleans are not integers here."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError also covers an integer too long to convert
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict) or "n" not in data:
         raise ParseError("expected an object with an 'n' field")

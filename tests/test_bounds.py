@@ -153,3 +153,22 @@ def test_evaluate_rejects_bad_input():
         evaluate("n1", s=2)
     with pytest.raises(ValidationError):
         evaluate("n1", s=2, t=1, delta=2, delta1=2, bogus=1)
+
+
+@pytest.mark.parametrize(
+    "formula_id, params",
+    [
+        ("n1", {"s": 2, "t": 2, "delta": "x", "delta1": 1}),
+        ("n1", {"s": 2, "t": 2, "delta": "1/0", "delta1": 1}),
+        ("n1", {"s": 2, "t": 2, "delta": None, "delta1": 1}),
+        ("n1", {"s": 2, "t": 2, "delta": [1], "delta1": 1}),
+        ("n1", {"s": "2", "t": 2, "delta": 1, "delta1": 1}),
+        ("n1", {"s": True, "t": 2, "delta": 1, "delta1": 1}),
+        ("n1", {"s": 2.0, "t": 2, "delta": 1, "delta1": 1}),
+        ("surface-dg", {"genus": None}),
+        ("root-upper", {"alpha": {}, "beta": 1, "gamma": 1}),
+    ],
+)
+def test_evaluate_rejects_values_a_formula_cannot_take(formula_id, params):
+    with pytest.raises(ValidationError):
+        evaluate(formula_id, **params)

@@ -1,12 +1,15 @@
 """End-to-end runs of the command line through ``main(argv)``."""
 
+import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from defekt.cli import main
+from defekt import caps
+from defekt.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -127,27 +130,81 @@ def test_usage_errors_exit_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "data",
     [
-        '{"n": 2, "edges": [["a", 1]]}',
-        '{"n": 2, "edges": [[0, 1]], "labels": 5}',
-        '{"n": true, "edges": []}',
+        b'{"n": 2, "edges": [["a", 1]]}',
+        b'{"n": 2, "edges": [[0, 1]], "labels": 5}',
+        b'{"n": true, "edges": []}',
+        b"\xff\xfe",
+        b'{"n": ' + b"9" * 5000 + b', "edges": []}',
+        b'{"n": 2, "edges": ' + b"[" * 100_000 + b"}",
     ],
-    ids=["string-vertex-id", "labels-not-a-list", "bool-vertex-count"],
+    ids=["string-vertex-id", "labels-not-a-list", "bool-vertex-count", "not-utf8",
+         "int-too-long", "nested-too-deep"],
 )
-def test_malformed_json_graph_is_usage_error(tmp_path, capsys, text):
+def test_malformed_json_graph_is_usage_error(tmp_path, capsys, data):
     graph = tmp_path / "g.json"
-    graph.write_text(text)
+    graph.write_bytes(data)
     assert_usage_error(capsys, "analyze", str(graph))
 
 
-def assert_usage_error(capsys, *argv):
+def test_non_utf8_stdin_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"0 1\n\xff\n")))
+    err = assert_usage_error(capsys, "analyze", "-")
+    assert "stdin is not UTF-8" in err
+
+
+def assert_usage_error(capsys, *argv) -> str:
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "n1", "--params", '{"s": 2, "t": 2, "delta": "x", "delta1": 1}'],
+        ["bounds", "n1", "--params", '{"s": "2", "t": 2, "delta": 1, "delta1": 1}'],
+        ["bounds", "n1", "--params", '{"s": true, "t": 2, "delta": 1, "delta1": 1}'],
+        ["bounds", "surface-dg", "--params", '{"genus": ' + "9" * 5000 + "}"],
+        ["gadget", "binary-tree", "40"],
+        ["gadget", "path", "1000000000"],
+        ["gadget", "petersen", "--out", "{tmp}/no-such-dir/g.txt"],
+        ["gadget", "petersen", "--out", "{tmp}"],
+    ],
+    ids=["bounds-string-delta", "bounds-string-s", "bounds-bool-s",
+         "bounds-int-too-long", "gadget-binary-tree-over-cap", "gadget-path-over-cap",
+         "out-in-missing-dir", "out-is-a-dir"],
+)
+def test_bad_argument_is_usage_error(tmp_path, capsys, argv):
+    assert_usage_error(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+
+
+@pytest.mark.parametrize(
+    "env", ["{", '{"top_grad": ' + "9" * 5000 + "}", "[" * 100_000],
+    ids=["not-json", "int-too-long", "nested-too-deep"],
+)
+def test_cap_over_malformed_env_is_usage_error(capsys, monkeypatch, env):
+    monkeypatch.setenv("DEFEKT_CAPS", env)
+    assert_usage_error(capsys, "bounds", "earth-moon", "--cap", "top_grad=3")
+    assert os.environ["DEFEKT_CAPS"] == env
+
+
+@pytest.mark.parametrize(
+    "text", ['{"0": ' + "9" * 5000 + ', "1": 2}', "[" * 100_000],
+    ids=["int-too-long", "nested-too-deep"],
+)
+def test_malformed_colouring_is_usage_error(tmp_path, capsys, text):
+    graph = tmp_path / "g.txt"
+    graph.write_text("0 1\n")
+    colouring = tmp_path / "c.json"
+    colouring.write_text(text)
+    assert_usage_error(capsys, "verify", str(graph), "--colouring", str(colouring),
+                       "--defect", "0")
 
 
 C4_FLAGS = {
@@ -201,11 +258,13 @@ def test_verify_accepts_each_certificate_kind(tmp_path, capsys, kind, certificat
         ("minor-model", '{"kind": ["minor-model"], "branch_sets": []}'),
         ("light-edge", '{"kind": "minor-model", "branch_sets": [[0], [1], [2, 3]]}'),
         ("minor-model", "[" * 100_000),
+        ("low-degree-vertex",
+         '{"kind": "low-degree-vertex", "vertex": ' + "9" * 5000 + ', "degree": 2}'),
     ],
     ids=["not-json", "json-list", "missing-field", "three-entry-edge",
          "bad-pair-vertices", "flat-branch-sets", "string-vertex", "bool-vertex",
          "string-in-mapping", "unhashable-kind", "minor-model-without-pattern",
-         "nested-too-deep"],
+         "nested-too-deep", "int-too-long"],
 )
 def test_malformed_certificate_is_usage_error(tmp_path, capsys, kind, certificate):
     assert_usage_error(capsys, "verify", *verify_c4(tmp_path, certificate, kind))
@@ -272,6 +331,28 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     assert code == 1
     assert json.loads(target.read_text())["error"] == "StructuralError"
+
+
+def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("DEFEKT_CAPS", raising=False)
+    assert build_parser() is build_parser()
+    first = run(capsys, "gadget", "gsn", "2", "3")
+    assert first[0] == 0
+    assert run(capsys, "gadget", "gsn", "2", "3") == first
+    assert run(capsys, "gadget", "petersen")[0] == 0  # positionals do not carry over
+    graph = tmp_path / "c13.txt"
+    graph.write_text("".join(f"{i} {(i + 1) % 13}\n" for i in range(13)))
+    pattern = tmp_path / "k3.txt"
+    pattern.write_text("0 1\n1 2\n0 2\n")
+    assert run(capsys, "detect", str(graph), "--minor", str(pattern),
+               "--cap", "minor_host=12")[0] == 2
+    assert "DEFEKT_CAPS" not in os.environ
+    assert caps.current_caps() == caps.Caps()
+    assert run(capsys, "detect", str(graph), "--minor", str(pattern))[0] == 0
+    with pytest.raises(SystemExit):
+        main(["colour", str(graph), "--mode", "bogus"])
+    capsys.readouterr()
+    assert run(capsys, "gadget", "gsn", "2", "3") == first
 
 
 def test_module_entry_point():

@@ -127,3 +127,37 @@ def test_tree_closure_requires_tree():
 def test_gadget_size_cap():
     with pytest.raises(CapExceededError):
         gadgets.gen_gsn(12, 3)
+
+
+# each generator with arguments whose order is exactly 10, and with the
+# smallest change that makes it 11 or more
+AT_TEN_AND_OVER = [
+    (gadgets.path, (10,), (11,)),
+    (gadgets.cycle, (10,), (11,)),
+    (gadgets.complete, (10,), (11,)),
+    (gadgets.complete_bipartite, (4, 6), (5, 6)),
+    (gadgets.star, (9,), (10,)),
+    (gadgets.wheel, (9,), (10,)),
+    (gadgets.gen_gsn, (2, 8), (2, 9)),
+    (gadgets.gen_kst_star, (3, 4), (3, 5)),
+    (gadgets.gen_kell_H, (3, 2), (2, 4)),
+    (gadgets.complete_binary_tree, (2,), (3,)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, at_cap, over_cap", AT_TEN_AND_OVER, ids=[f.__name__ for f, _, _ in AT_TEN_AND_OVER]
+)
+def test_every_generator_checks_its_order(monkeypatch, fn, at_cap, over_cap):
+    monkeypatch.setenv("DEFEKT_CAPS", '{"gadget_vertices": 10}')
+    assert fn(*at_cap).n <= 10
+    with pytest.raises(CapExceededError, match="would have 1[1-9] vertices, cap is 10"):
+        fn(*over_cap)
+
+
+def test_exponential_generators_refuse_huge_exponents():
+    # refused from a clamped exponent, without forming 2**radius
+    with pytest.raises(CapExceededError, match=r"would have over 2\*\*64 vertices"):
+        gadgets.complete_binary_tree(10**30)
+    with pytest.raises(CapExceededError, match=r"would have over 2\*\*\d+ vertices"):
+        gadgets.gen_gsn(10**30, 1)
