@@ -36,6 +36,7 @@ from .density import build_report
 from .errors import (
     CapExceededError,
     ParseError,
+    PrecisionError,
     StructuralError,
     ValidationError,
 )
@@ -78,17 +79,6 @@ def _load_graph(path: str) -> Graph:
 
 def _graph_payload(g: Graph) -> dict:
     return json.loads(to_json(g))
-
-
-def _witness_payload(witness) -> object:
-    if witness is None:
-        return None
-    if isinstance(witness, Graph):
-        return _graph_payload(witness)
-    if isinstance(witness, tuple) and witness and isinstance(witness[0], Graph):
-        sub, remap = witness
-        return {"graph": _graph_payload(sub), "vertices": list(remap)}
-    return repr(witness)
 
 
 def _colour_map(colours) -> dict:
@@ -393,17 +383,7 @@ def _cmd_gadget(args) -> tuple[int, object]:
 
 
 def _cmd_experiment(args) -> tuple[int, object]:
-    try:
-        rows = run_experiment(
-            args.name, seed=args.seed, count=args.count, size=args.size
-        )
-    except KeyError as exc:
-        raise ValidationError(str(exc.args[0])) from None
-    except TypeError:
-        raise ValidationError(
-            f"experiment {args.name!r} does not take the given overrides"
-        ) from None
-    return 0, rows
+    return 0, run_experiment(args.name, seed=args.seed, count=args.count, size=args.size)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +512,7 @@ def main(argv: list[str] | None = None) -> int:
         _check_out_dir(args.out)
         _apply_caps(args.cap)
         code, payload = args.handler(args)
-    except (ParseError, ValidationError, CapExceededError) as exc:
+    except (ParseError, ValidationError, CapExceededError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except StructuralError as exc:
@@ -541,7 +521,7 @@ def main(argv: list[str] | None = None) -> int:
         payload = json.dumps({
             "error": type(exc).__name__,
             "message": str(exc),
-            "witness": _witness_payload(exc.witness),
+            "witness": None if exc.witness is None else _graph_payload(exc.witness),
         }, sort_keys=True, indent=2) + "\n"
     finally:
         if saved_caps is None:

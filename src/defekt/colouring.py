@@ -31,7 +31,9 @@ from .errors import (
     ValidationError,
 )
 from .gadgets import gen_kell_H
-from .graphs import Graph, connected_components, contract_components, induced_subgraph, is_tree
+from .graphs import (
+    Graph, bits_of, connected_components, contract_components, induced_subgraph, is_tree,
+)
 from .structure import Certificate, MinorModel, minor_test_bruteforce, validate_minor_model
 
 ColourAssignment = tuple[int, ...]
@@ -389,105 +391,81 @@ def validate_tree_embedding(g: Graph, t: Graph, emb: TreeEmbedding) -> list[str]
     return problems
 
 
-def _tree_centre_radius(t: Graph) -> tuple[int, int]:
-    # iterated leaf stripping leaves one or two centre vertices
-    adj = t.adjacency_sets()
-    alive = set(t.vertices())
-    while len(alive) > 2:
-        leaves = [v for v in alive if len(adj[v]) <= 1]
-        for v in leaves:
-            for u in adj[v]:
-                adj[u].discard(v)
-            adj[v].clear()
-            alive.remove(v)
-    centre = min(alive)
-    dist = {centre: 0}
-    frontier = [centre]
-    radius = 0
-    while frontier:
+def _peel_rounds(g: Graph, limit: int, rounds: int) -> list[int]:
+    """The round in which each vertex falls when every round removes, all at
+    once, each live vertex with at most ``limit`` live neighbours; vertices
+    still live after ``rounds`` rounds get ``rounds + 1``.
+
+    Live degrees are kept as counters, so the next round's layer is exactly
+    the live neighbours whose counter just fell to ``limit``: O(n + m).
+    """
+    deg = [g.degree(v) for v in g.vertices()]
+    fell = [rounds + 1] * g.n
+    layer = [v for v in g.vertices() if deg[v] <= limit]
+    for r in range(1, rounds + 1):
+        for v in layer:
+            fell[v] = r
         nxt = []
-        for v in frontier:
-            for u in t.neighbours(v):
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    radius = max(radius, dist[u])
-                    nxt.append(u)
-        frontier = nxt
-    return centre, radius
+        for v in layer:
+            for w in g.neighbours(v):
+                deg[w] -= 1
+                if deg[w] == limit and fell[w] > rounds:
+                    nxt.append(w)
+        layer = nxt
+    return fell
 
 
 def colour_tree_free(g: Graph, t: Graph) -> TreeFreeOutcome:
     """Layered colouring for hosts that exclude the tree ``t`` as a subgraph.
 
-    Peels vertices with at most ``t.n - 2`` residual neighbours for
-    ``radius - 1`` rounds and colours by round.  Leftover vertices form the
-    last class; if one of them keeps ``t.n - 1`` neighbours inside that
-    class, the exclusion was false and a copy of ``t`` is grown from there,
-    level by level, back through the peeling residues.
+    Peels vertices with at most ``t.n - 2`` live neighbours for
+    ``radius - 1`` rounds and colours by round; leftover vertices form the
+    last class.  A vertex peeled in an earlier round had at most ``t.n - 2``
+    live neighbours then, its same-coloured ones among them, so only the
+    last class can break the bound.  If one of its vertices does, the
+    exclusion was false and a copy of ``t`` is grown from the least such
+    vertex, level by level, back through the rounds.
     """
     if not is_tree(t) or t.n < 2:
         raise ValidationError("pattern must be a tree with at least 2 vertices")
-    centre, radius = _tree_centre_radius(t)
-    n = t.n
-    bound = n - 2
-
-    residues: list[set[int]] = [set(g.vertices())]
-    colours = [0] * g.n
-    for i in range(1, radius):
-        prev = residues[-1]
-        layer = {v for v in prev if sum(1 for w in g.neighbours(v) if w in prev) <= bound}
-        for v in layer:
-            colours[v] = i
-        residues.append(prev - layer)
-    last = residues[-1]
-    for v in sorted(last):
-        colours[v] = radius
-
-    violator = None
-    for v in sorted(last):
-        if sum(1 for w in g.neighbours(v) if w in last) > bound:
-            violator = v
-            break
-    if violator is None:
-        final = tuple(colours)
-        ok, violations = verify_defective(g, final, bound)
-        if not ok:
-            raise AlgorithmError(f"layer colouring broke its bound: {violations}")
-        return TreeFreeOutcome(num_colours=radius, defect_bound=bound, colours=final)
-
-    # grow the tree: centre at the violator, level j >= 1 inside
-    # residues[radius - j]; the violation feeds level 1, peeling feeds the rest
-    level = {centre: 0}
-    order = [centre]
-    parent = {centre: -1}
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for u in sorted(t.neighbours(v)):
+    # the last round of leaf stripping holds the one or two centre vertices
+    stripped = _peel_rounds(t, 1, t.n)
+    centre = stripped.index(max(stripped))
+    level, parent, order = {centre: 0}, {}, [centre]
+    for v in order:
+        for u in t.neighbours(v):
             if u not in level:
                 level[u] = level[v] + 1
                 parent[u] = v
                 order.append(u)
-    image = {centre: violator}
-    used = {violator}
+    radius = level[order[-1]]
+    bound = t.n - 2
+
+    colours = _peel_rounds(g, bound, radius - 1)
+    ok, violations = verify_defective(g, colours, bound)
+    if ok:
+        return TreeFreeOutcome(num_colours=radius, defect_bound=bound, colours=tuple(colours))
+
+    # tree level j >= 1 goes to a host vertex that outlived round radius - j;
+    # the violation feeds level 1, peeling feeds the rest
+    image = [-1] * t.n
+    image[centre] = violations[0][0]
+    used = {image[centre]}
     for u in order[1:]:
-        j = level[u]
-        pool = residues[radius - j]
+        residue = radius - level[u]
         anchor = image[parent[u]]
-        pick = None
-        for w in sorted(g.neighbours(anchor)):
-            if w in pool and w not in used:
-                pick = w
-                break
+        pick = next(
+            (w for w in g.neighbours(anchor) if colours[w] > residue and w not in used),
+            None,
+        )
         if pick is None:
             raise AlgorithmError(
                 f"embedding stalled at tree vertex {u}: vertex {anchor} has "
-                f"no unused neighbour left in residue {radius - j}"
+                f"no unused neighbour left in residue {residue}"
             )
         image[u] = pick
         used.add(pick)
-    emb = TreeEmbedding(mapping=tuple(image[u] for u in range(t.n)))
+    emb = TreeEmbedding(mapping=tuple(image))
     problems = validate_tree_embedding(g, t, emb)
     if problems:
         raise AlgorithmError(f"grown embedding is invalid: {problems}")
@@ -721,15 +699,7 @@ def _extract_pattern_model(
     leaf_sets: list[list[int]] = []
     for s in spokes:
         common = masks[hub] & masks[s]
-        picks = []
-        w = common
-        while w and len(picks) < k + 1:
-            b = w & -w
-            w ^= b
-            cand = b.bit_length() - 1
-            if cand in forbidden or cand in chosen:
-                continue
-            picks.append(cand)
+        picks = [w for w in bits_of(common) if w not in forbidden and w not in chosen][: k + 1]
         if len(picks) < k + 1:
             raise AlgorithmError(
                 f"auxiliary edge ({hub},{s}) has too few fresh shared "

@@ -26,8 +26,8 @@ class CapExceededError(DefektError):
 class StructuralError(DefektError):
     """A peel or partition got stuck, so the structural hypothesis fails.
 
-    ``witness`` carries the offending subgraph (plus a vertex remap back to
-    the caller's ids) so the failure can be re-checked independently.
+    ``witness`` carries the offending subgraph, or None, so the failure can
+    be re-checked independently.
     """
 
     def __init__(self, message: str, witness=None):

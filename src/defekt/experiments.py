@@ -9,6 +9,7 @@ fixed seed yields byte-identical reports.
 
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction
 from typing import Callable
 
@@ -25,7 +26,7 @@ from .colouring import (
     verify_defective,
 )
 from .density import mad_exact, top_grad_half
-from .errors import PreconditionRefutedError, StructuralError
+from .errors import PreconditionRefutedError, StructuralError, ValidationError
 from .graphs import Graph
 from .structure import (
     dichotomy_threshold,
@@ -337,10 +338,14 @@ EXPERIMENTS: dict[str, Callable[..., list[dict]]] = {
 
 
 def run_experiment(name: str, seed: int = 0, **overrides) -> list[dict]:
+    """Run a named experiment; ``None`` overrides are left at its defaults."""
     if name not in EXPERIMENTS:
-        raise KeyError(
+        raise ValidationError(
             f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"
         )
     fn = EXPERIMENTS[name]
     kwargs = {k: v for k, v in overrides.items() if v is not None}
+    unknown = sorted(set(kwargs) - set(inspect.signature(fn).parameters))
+    if unknown:
+        raise ValidationError(f"experiment {name!r} does not take {', '.join(unknown)}")
     return fn(seed=seed, **kwargs)

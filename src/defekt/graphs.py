@@ -111,6 +111,18 @@ class Graph:
 # ---------------------------------------------------------------------------
 # text formats
 
+_QUOTE_LIMIT = 60
+
+
+def _quote(text: str) -> str:
+    """``repr`` of stripped input for an error message, cut after
+    ``_QUOTE_LIMIT`` characters so that a huge line cannot flood stderr."""
+    text = text.strip()
+    if len(text) <= _QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
+
+
 def from_edge_list(text: str) -> Graph:
     """Parse whitespace-separated ``u v`` lines, one edge per line.
 
@@ -126,11 +138,11 @@ def from_edge_list(text: str) -> Graph:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise ParseError(f"expected two integers, got {raw.strip()!r}", line=lineno)
+            raise ParseError(f"expected two integers, got {_quote(raw)}", line=lineno)
         try:
             a, b = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ParseError(f"non-integer token in {raw.strip()!r}", line=lineno) from None
+            raise ParseError(f"non-integer token in {_quote(raw)}", line=lineno) from None
         rows.append((lineno, a, b))
     if not rows:
         return Graph(0)
@@ -172,7 +184,7 @@ def from_dimacs(text: str) -> Graph:
             if n is not None:
                 raise ParseError("duplicate problem line", line=lineno)
             if len(parts) != 4 or parts[1] not in ("edge", "col"):
-                raise ParseError(f"bad problem line {raw.strip()!r}", line=lineno)
+                raise ParseError(f"bad problem line {_quote(raw)}", line=lineno)
             try:
                 n = int(parts[2])
                 int(parts[3])
@@ -182,16 +194,16 @@ def from_dimacs(text: str) -> Graph:
             if n is None:
                 raise ParseError("edge before problem line", line=lineno)
             if len(parts) != 3:
-                raise ParseError(f"bad edge line {raw.strip()!r}", line=lineno)
+                raise ParseError(f"bad edge line {_quote(raw)}", line=lineno)
             try:
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
                 raise ParseError("non-integer endpoint", line=lineno) from None
             if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(f"endpoint out of range in {raw.strip()!r}", line=lineno)
+                raise ParseError(f"endpoint out of range in {_quote(raw)}", line=lineno)
             edges.append((u - 1, v - 1))
         else:
-            raise ParseError(f"unknown record {parts[0]!r}", line=lineno)
+            raise ParseError(f"unknown record {_quote(parts[0])}", line=lineno)
     if n is None:
         raise ParseError("missing problem line")
     return Graph(n, edges)

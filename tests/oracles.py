@@ -1,17 +1,27 @@
-"""Plain reference versions of the fast peel, degeneracy and mad.
+"""Plain reference versions of the fast peel, degeneracy, mad and
+tree-free colouring.
 
 A full rescan per peel step, a ``min`` over the live vertices per
-degeneracy step, and bisection on the density guess for mad.  They are
-quadratic or need ~30 flows, so they only serve as oracles that the fast
-versions must match exactly.
+degeneracy step, bisection on the density guess for mad, and a neighbour
+recount over explicit residue sets per tree-free round.  They are quadratic
+or need ~30 flows, so they only serve as oracles that the fast versions
+must match exactly.
 """
 
 from fractions import Fraction
 
-from defekt.colouring import PeelTrace, RemoveEdge, RemoveVertex
+from defekt.colouring import (
+    PeelTrace,
+    RemoveEdge,
+    RemoveVertex,
+    TreeEmbedding,
+    TreeFreeOutcome,
+    validate_tree_embedding,
+    verify_defective,
+)
 from defekt.density import _denser_than, _edges_inside
-from defekt.errors import StructuralError
-from defekt.graphs import Graph, induced_subgraph
+from defekt.errors import AlgorithmError, StructuralError, ValidationError
+from defekt.graphs import Graph, induced_subgraph, is_tree
 
 
 def peel_by_rescan(g: Graph, vertex_limit: int, edge_limit: int) -> PeelTrace:
@@ -124,3 +134,108 @@ def mad_by_bisection(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
             if dens > best:
                 best, best_set = dens, found
     return 2 * best, tuple(best_set)
+
+
+def tree_centre_radius(t: Graph) -> tuple[int, int]:
+    # iterated leaf stripping leaves one or two centre vertices
+    adj = t.adjacency_sets()
+    alive = set(t.vertices())
+    while len(alive) > 2:
+        leaves = [v for v in alive if len(adj[v]) <= 1]
+        for v in leaves:
+            for u in adj[v]:
+                adj[u].discard(v)
+            adj[v].clear()
+            alive.remove(v)
+    centre = min(alive)
+    dist = {centre: 0}
+    frontier = [centre]
+    radius = 0
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for u in t.neighbours(v):
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    radius = max(radius, dist[u])
+                    nxt.append(u)
+        frontier = nxt
+    return centre, radius
+
+
+def colour_tree_free_by_residues(g: Graph, t: Graph) -> TreeFreeOutcome:
+    """``colour_tree_free`` with explicit residue sets and a recount per round.
+
+    Peels vertices with at most ``t.n - 2`` residual neighbours for
+    ``radius - 1`` rounds and colours by round.  Leftover vertices form the
+    last class; if one of them keeps ``t.n - 1`` neighbours inside that
+    class, the exclusion was false and a copy of ``t`` is grown from there,
+    level by level, back through the peeling residues.
+    """
+    if not is_tree(t) or t.n < 2:
+        raise ValidationError("pattern must be a tree with at least 2 vertices")
+    centre, radius = tree_centre_radius(t)
+    n = t.n
+    bound = n - 2
+
+    residues: list[set[int]] = [set(g.vertices())]
+    colours = [0] * g.n
+    for i in range(1, radius):
+        prev = residues[-1]
+        layer = {v for v in prev if sum(1 for w in g.neighbours(v) if w in prev) <= bound}
+        for v in layer:
+            colours[v] = i
+        residues.append(prev - layer)
+    last = residues[-1]
+    for v in sorted(last):
+        colours[v] = radius
+
+    violator = None
+    for v in sorted(last):
+        if sum(1 for w in g.neighbours(v) if w in last) > bound:
+            violator = v
+            break
+    if violator is None:
+        final = tuple(colours)
+        ok, violations = verify_defective(g, final, bound)
+        if not ok:
+            raise AlgorithmError(f"layer colouring broke its bound: {violations}")
+        return TreeFreeOutcome(num_colours=radius, defect_bound=bound, colours=final)
+
+    # grow the tree: centre at the violator, level j >= 1 inside
+    # residues[radius - j]; the violation feeds level 1, peeling feeds the rest
+    level = {centre: 0}
+    order = [centre]
+    parent = {centre: -1}
+    head = 0
+    while head < len(order):
+        v = order[head]
+        head += 1
+        for u in sorted(t.neighbours(v)):
+            if u not in level:
+                level[u] = level[v] + 1
+                parent[u] = v
+                order.append(u)
+    image = {centre: violator}
+    used = {violator}
+    for u in order[1:]:
+        j = level[u]
+        pool = residues[radius - j]
+        anchor = image[parent[u]]
+        pick = None
+        for w in sorted(g.neighbours(anchor)):
+            if w in pool and w not in used:
+                pick = w
+                break
+        if pick is None:
+            raise AlgorithmError(
+                f"embedding stalled at tree vertex {u}: vertex {anchor} has "
+                f"no unused neighbour left in residue {radius - j}"
+            )
+        image[u] = pick
+        used.add(pick)
+    emb = TreeEmbedding(mapping=tuple(image[u] for u in range(t.n)))
+    problems = validate_tree_embedding(g, t, emb)
+    if problems:
+        raise AlgorithmError(f"grown embedding is invalid: {problems}")
+    return TreeFreeOutcome(num_colours=radius, defect_bound=bound, embedding=emb)

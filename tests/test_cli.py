@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from defekt import caps
+from defekt import caps, experiments
 from defekt.cli import build_parser, main
 
 
@@ -175,13 +175,37 @@ def assert_usage_error(capsys, *argv) -> str:
         ["gadget", "path", "1000000000"],
         ["gadget", "petersen", "--out", "{tmp}/no-such-dir/g.txt"],
         ["gadget", "petersen", "--out", "{tmp}"],
+        ["bounds", "crossing-lower", "--params",
+         '{"n": 1000000000000, "m": 6772001872658, "genus": 3}'],
+        ["experiment", "earth-moon-table", "--count", "3"],
     ],
     ids=["bounds-string-delta", "bounds-string-s", "bounds-bool-s",
          "bounds-int-too-long", "gadget-binary-tree-over-cap", "gadget-path-over-cap",
-         "out-in-missing-dir", "out-is-a-dir"],
+         "out-in-missing-dir", "out-is-a-dir", "bounds-precision", "experiment-override"],
 )
 def test_bad_argument_is_usage_error(tmp_path, capsys, argv):
     assert_usage_error(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+
+
+def test_fault_inside_an_experiment_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(seed=0, count=1):
+        raise TypeError("bug inside the experiment")
+
+    monkeypatch.setitem(experiments.EXPERIMENTS, "earth-moon-table", broken)
+    with pytest.raises(TypeError, match="bug inside"):
+        main(["experiment", "earth-moon-table", "--count", "2"])
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "text", ["[" * 100_000, "p edge 3 1\ne 1 2 " + "7" * 50_000 + "\n"],
+    ids=["edge-list", "dimacs"],
+)
+def test_parse_error_quotes_a_short_prefix(tmp_path, capsys, text):
+    graph = tmp_path / "g.txt"
+    graph.write_text(text)
+    err = assert_usage_error(capsys, "analyze", str(graph))
+    assert len(err.encode()) < 300
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ exhaustive checkers in this module and are kept as regression constants.
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 from defekt import corpus, gadgets
 from defekt.colouring import (
@@ -30,7 +30,7 @@ from defekt.errors import (
 from defekt.graphs import Graph
 
 from helpers import graphs
-from oracles import peel_by_rescan, replay_forward_check
+from oracles import colour_tree_free_by_residues, peel_by_rescan, replay_forward_check
 
 
 def test_verify_defective_counts():
@@ -252,6 +252,35 @@ def test_tree_free_validation():
         colour_tree_free(gadgets.cycle(4), gadgets.cycle(3))
     with pytest.raises(ValidationError):
         colour_tree_free(gadgets.cycle(4), Graph(1))
+
+
+@st.composite
+def hosts_and_trees(draw):
+    """A G(n, p) host on at most 40 vertices and a relabelled random tree
+    on 2 to 9 vertices."""
+    host = corpus.gnp(
+        draw(st.integers(0, 40)),
+        draw(st.sampled_from([0.05, 0.15, 0.3, 0.5, 0.8])),
+        draw(st.integers(0, 2**16)),
+    )
+    tree = corpus.random_tree(draw(st.integers(2, 9)), draw(st.integers(0, 2**16)))
+    perm = draw(st.permutations(range(tree.n)))
+    return host, Graph(tree.n, [(perm[u], perm[v]) for u, v in tree.edges()])
+
+
+@settings(max_examples=300, deadline=None)
+@given(hosts_and_trees())
+def test_tree_free_matches_residue_oracle(pair):
+    assert colour_tree_free(*pair) == colour_tree_free_by_residues(*pair)
+
+
+@pytest.mark.parametrize("outcome", ["colours", "embedding"])
+def test_tree_free_pairs_reach_both_outcomes(outcome):
+    find(
+        hosts_and_trees(),
+        lambda pair: getattr(colour_tree_free(*pair), outcome) is not None,
+        settings=settings(database=None, deadline=None),
+    )
 
 
 def union_find_is_forest(n, edges):

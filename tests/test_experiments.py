@@ -1,5 +1,6 @@
 import pytest
 
+from defekt.errors import ValidationError
 from defekt.experiments import CLAIMS, EXPERIMENTS, run_experiment
 
 ROW_KEYS = {"check_id", "claim_id", "inputs", "expected", "actual", "pass"}
@@ -42,8 +43,10 @@ def test_seed_changes_the_instances():
 
 
 def test_unknown_experiment_rejected():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValidationError, match="unknown experiment"):
         run_experiment("nope")
+    with pytest.raises(ValidationError, match="does not take count"):
+        run_experiment("earth-moon-table", count=3)
 
 
 def test_none_overrides_mean_defaults():
