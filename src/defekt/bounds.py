@@ -8,6 +8,7 @@ report writers can name what they evaluated.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor
@@ -282,21 +283,21 @@ def _serialize(v):
     return v
 
 
-FORMULAS: dict[str, tuple] = {
-    "n1": (n1, ("s", "t", "delta", "delta1")),
-    "main-defect": (main_defect_bound, ("s", "t", "mad", "top_grad")),
-    "surface-dg": (dg, ("genus",)),
-    "surface-edges": (surface_edge_bound, ("genus", "n")),
-    "crossing-lower": (crossing_lower_bound, ("n", "m", "genus")),
-    "close-genus-edges": (close_genus_edge_bound, ("k", "genus", "n")),
-    "close-genus-k3t-max": (close_genus_k3t_max, ("k", "genus")),
-    "k3t-crossings": (k3t_crossing_bound, ("t", "genus")),
-    "light-edge-check": (light_edge_general_check, ("a", "b", "a2", "b2", "delta", "ell")),
-    "root-upper": (root_upper_approx, ("alpha", "beta", "gamma")),
-    "genus-thickness-light": (genus_thickness_light_bound, ("k", "genus")),
-    "genus-thickness-colours": (genus_thickness_colour_params, ("k", "genus")),
-    "stack-params": (stack_params, ("k",)),
-    "queue-params": (queue_params, ("k",)),
+FORMULAS = {
+    "n1": n1,
+    "main-defect": main_defect_bound,
+    "surface-dg": dg,
+    "surface-edges": surface_edge_bound,
+    "crossing-lower": crossing_lower_bound,
+    "close-genus-edges": close_genus_edge_bound,
+    "close-genus-k3t-max": close_genus_k3t_max,
+    "k3t-crossings": k3t_crossing_bound,
+    "light-edge-check": light_edge_general_check,
+    "root-upper": root_upper_approx,
+    "genus-thickness-light": genus_thickness_light_bound,
+    "genus-thickness-colours": genus_thickness_colour_params,
+    "stack-params": stack_params,
+    "queue-params": queue_params,
 }
 
 
@@ -309,7 +310,8 @@ def evaluate(formula_id: str, **params) -> BoundResult:
     """
     if formula_id not in FORMULAS:
         raise ValidationError(f"unknown formula {formula_id!r}")
-    fn, names = FORMULAS[formula_id]
+    fn = FORMULAS[formula_id]
+    names = tuple(inspect.signature(fn).parameters)
     missing = [p for p in names if p not in params]
     extra = [p for p in params if p not in names]
     if missing or extra:

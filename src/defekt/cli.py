@@ -337,17 +337,14 @@ def _cmd_verify(args) -> tuple[int, object]:
 
 
 def _cmd_bounds(args) -> tuple[int, object]:
-    name = args.table or args.formula
-    if name is None:
+    if args.formula is None:
         raise ValidationError(
-            f"bounds needs a formula id or --table; formulas: {sorted(FORMULAS)}"
+            f"bounds needs a formula id or earth-moon; formulas: {sorted(FORMULAS)}"
         )
-    if name == "earth-moon":
+    if args.formula == "earth-moon":
         return 0, earth_moon_table()
-    if args.table is not None:
-        raise ValidationError(f"unknown table {args.table!r}; only earth-moon")
     params = _json_object(args.params, "--params") if args.params else {}
-    return 0, evaluate(name, **params).to_payload()
+    return 0, evaluate(args.formula, **params).to_payload()
 
 
 GADGETS: dict[str, tuple] = {
@@ -468,8 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"one of {sorted(FORMULAS)} or earth-moon")
     p.add_argument("--params", metavar="JSON", default=None,
                    help="formula parameters as a JSON object")
-    p.add_argument("--table", metavar="NAME", default=None,
-                   help="emit a recorded table (earth-moon)")
     _add_common(p)
     p.set_defaults(handler=_cmd_bounds)
 

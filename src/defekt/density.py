@@ -21,97 +21,83 @@ from .matching import max_bipartite_matching
 # ---------------------------------------------------------------------------
 # max-flow plumbing for the densest-subgraph test
 
-class _Dinic:
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
+def _max_flow(
+    n: int, arcs: list[tuple[int, int, int, int]], s: int, t: int
+) -> tuple[int, list[int]]:
+    """Dinic's max flow from ``s`` to ``t`` on nodes ``0..n-1``.
 
-    def add(self, u: int, v: int, c: int) -> None:
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def _levels(self, s: int, t: int) -> list[int] | None:
-        level = [-1] * self.n
+    Each arc (u, v, c, back) carries c from u to v and ``back`` from v to u.
+    Blocking flows follow current-arc pointers along an explicit path stack,
+    so deep networks cannot exhaust the recursion limit.  Returns the flow
+    and the final BFS levels: ``level[v] >= 0`` exactly for the nodes still
+    reachable from ``s`` in the residual graph, the minimal min-cut side.
+    """
+    head: list[list[int]] = [[] for _ in range(n)]
+    to: list[int] = []
+    cap: list[int] = []
+    for u, v, c, back in arcs:
+        head[u].append(len(to))
+        head[v].append(len(to) + 1)
+        to += (v, u)
+        cap += (c, back)
+    flow = 0
+    while True:
+        level = [-1] * n
         level[s] = 0
         queue = [s]
         for u in queue:
-            for e in self.head[u]:
-                v = self.to[e]
-                if self.cap[e] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        return level if level[t] >= 0 else None
-
-    def _push(self, u: int, t: int, limit: int, level, it) -> int:
-        if u == t:
-            return limit
-        while it[u] < len(self.head[u]):
-            e = self.head[u][it[u]]
-            v = self.to[e]
-            if self.cap[e] > 0 and level[v] == level[u] + 1:
-                got = self._push(v, t, min(limit, self.cap[e]), level, it)
-                if got:
-                    self.cap[e] -= got
-                    self.cap[e ^ 1] += got
-                    return got
-            it[u] += 1
-        return 0
-
-    def maxflow(self, s: int, t: int) -> int:
-        flow = 0
+            for e in head[u]:
+                if cap[e] and level[to[e]] < 0:
+                    level[to[e]] = level[u] + 1
+                    queue.append(to[e])
+        if level[t] < 0:
+            return flow, level
+        it = [0] * n
+        path: list[int] = []
+        u = s
         while True:
-            level = self._levels(s, t)
-            if level is None:
-                return flow
-            it = [0] * self.n
-            while True:
-                got = self._push(s, t, 1 << 200, level, it)
-                if not got:
-                    break
-                flow += got
-
-    def source_side(self, s: int) -> set[int]:
-        seen = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for e in self.head[u]:
-                v = self.to[e]
-                if self.cap[e] > 0 and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
+            arcs_u, i, nxt = head[u], it[u], level[u] + 1
+            while i < len(arcs_u) and not (cap[arcs_u[i]] and level[to[arcs_u[i]]] == nxt):
+                i += 1
+            it[u] = i
+            if i < len(arcs_u):
+                path.append(arcs_u[i])
+                u = to[arcs_u[i]]
+                if u == t:
+                    push = min(cap[e] for e in path)
+                    for e in path:
+                        cap[e] -= push
+                        cap[e ^ 1] += push
+                    flow += push
+                    path.clear()
+                    u = s
+            elif path:
+                # dead end: back up one arc and skip it from now on
+                u = to[path.pop() ^ 1]
+                it[u] += 1
+            else:
+                break
 
 
 def _denser_than(g: Graph, lam: Fraction) -> list[int] | None:
     """A vertex set whose edge/vertex ratio strictly exceeds ``lam``, or None.
 
-    Min-cut formulation: a unit of supply per edge must reach the sink
-    through its endpoints, each endpoint charging ``lam``.  Capacities are
-    scaled by the denominator so the flow is pure integer arithmetic.
+    Goldberg's network on the vertices plus a source and a sink, with
+    capacities scaled by the denominator q of lam = p/q: source to v carries
+    m*q, v to sink m*q + 2p - deg(v)*q, and each edge q both ways.  Source
+    side S then cuts m*q*n - 2(q*e(S) - p*|S|), so a flow short of m*q*n
+    leaves the minimal maximiser of e(S) - lam*|S| on the source side.
     """
     p, q = lam.numerator, lam.denominator
-    m, n = g.m, g.n
-    source, sink = 0, 1 + m + n
-    net = _Dinic(m + n + 2)
-    inf = m * q + 1
-    for i, (u, v) in enumerate(g.edges()):
-        net.add(source, 1 + i, q)
-        net.add(1 + i, 1 + m + u, inf)
-        net.add(1 + i, 1 + m + v, inf)
-    for v in range(n):
-        net.add(1 + m + v, sink, p)
-    flow = net.maxflow(source, sink)
-    if flow >= m * q:
+    n, big = g.n, g.m * q
+    source, sink = n, n + 1
+    arcs = [(v, sink, big + 2 * p - g.degree(v) * q, 0) for v in range(n)]
+    arcs += [(source, v, big, 0) for v in range(n)]
+    arcs += [(u, v, q, q) for u, v in g.edges()]
+    flow, level = _max_flow(n + 2, arcs, source, sink)
+    if flow >= big * n:
         return None
-    side = net.source_side(source)
-    chosen = sorted(v for v in range(n) if (1 + m + v) in side)
+    chosen = [v for v in range(n) if level[v] >= 0]
     if not chosen:
         raise AlgorithmError("cut side empty despite slack in the flow")
     return chosen

@@ -237,7 +237,7 @@ def from_json(text: str) -> Graph:
         if not (isinstance(item, list) and len(item) == 2) or any(
             type(x) is not int for x in item
         ):
-            raise ParseError(f"bad edge entry {item!r}")
+            raise ParseError(f"bad edge entry {_quote(json.dumps(item))}")
         pairs.append((item[0], item[1]))
     return Graph(n, pairs, labels=labels)
 

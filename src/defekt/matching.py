@@ -20,18 +20,29 @@ def max_bipartite_matching(
     match_l = [-1] * num_left
     match_r = [-1] * num_right
 
-    def augment(i: int, seen: list[bool]) -> bool:
-        for j in adj[i]:
-            if not seen[j]:
-                seen[j] = True
-                if match_r[j] == -1 or augment(match_r[j], seen):
-                    match_l[i] = j
-                    match_r[j] = i
-                    return True
+    def augment(root: int, seen: list[bool]) -> bool:
+        # depth-first with an explicit stack of (left vertex, its untried
+        # candidates); each left below the root holds the right it was
+        # reached through, so the path flips along the stack alone
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            for j in stack[-1][1]:
+                if not seen[j]:
+                    break
+            else:
+                stack.pop()
+                continue
+            seen[j] = True
+            if match_r[j] == -1:
+                for i, _ in reversed(stack):
+                    match_l[i], j = j, match_l[i]
+                    match_r[match_l[i]] = i
+                return True
+            stack.append((match_r[j], iter(adj[match_r[j]])))
         return False
 
     size = 0
     for i in range(num_left):
-        if augment(i, [False] * num_right):
+        if adj[i] and augment(i, [False] * num_right):
             size += 1
     return size, match_l, match_r

@@ -14,7 +14,7 @@ from math import isqrt
 
 from .errors import PrecisionError, ValidationError
 
-DEFAULT_REL_WIDTH = Fraction(1, 10**9)
+_REL_WIDTH = Fraction(1, 10**9)
 
 
 @dataclass(frozen=True)
@@ -105,12 +105,6 @@ class Enclosure:
         o = _as_enclosure(other)
         return Enclosure(max(self.lo, o.lo), max(self.hi, o.hi))
 
-    def floor(self) -> int:
-        lo_f, hi_f = self.lo.__floor__(), self.hi.__floor__()
-        if lo_f != hi_f:
-            raise PrecisionError(f"floor of {self} is ambiguous")
-        return lo_f
-
     def to_payload(self) -> dict:
         if self.is_exact:
             return {"exact": str(self.lo)}
@@ -135,9 +129,9 @@ def _as_enclosure(x) -> Enclosure:
     raise ValidationError(f"cannot interpret {x!r} as an enclosure")
 
 
-def sqrt_enclosure(x, rel_width: Fraction = DEFAULT_REL_WIDTH) -> Enclosure:
+def sqrt_enclosure(x) -> Enclosure:
     """A certified enclosure of sqrt(x), exact when x is a perfect square
-    of rationals, otherwise outward-rounded to the requested relative width.
+    of rationals, otherwise outward-rounded to relative width ``_REL_WIDTH``.
     """
     x = Fraction(x)
     if x < 0:
@@ -152,6 +146,6 @@ def sqrt_enclosure(x, rel_width: Fraction = DEFAULT_REL_WIDTH) -> Enclosure:
     hi = Fraction(num_r + 1, den_r)
     while True:
         lo = x / hi
-        if hi - lo <= rel_width * lo:
+        if hi - lo <= _REL_WIDTH * lo:
             return Enclosure(lo, hi)
         hi = (hi + lo) / 2

@@ -1,11 +1,13 @@
-"""Plain reference versions of the fast peel, degeneracy, mad and
-tree-free colouring.
+"""Plain reference versions of the fast peel, degeneracy, mad, matching
+and tree-free colouring.
 
 A full rescan per peel step, a ``min`` over the live vertices per
-degeneracy step, bisection on the density guess for mad, and a neighbour
-recount over explicit residue sets per tree-free round.  They are quadratic
-or need ~30 flows, so they only serve as oracles that the fast versions
-must match exactly.
+degeneracy step, bisection on the density guess for mad (each guess a
+recursive Dinic flow on the (m+n+2)-node edge-node network), recursive
+augmenting paths for Kuhn's matching, and a neighbour recount over explicit
+residue sets per tree-free round.  They are quadratic, need ~30 flows or
+recurse once per path step, so they only serve as oracles that the fast
+versions must match exactly.
 """
 
 from fractions import Fraction
@@ -19,7 +21,7 @@ from defekt.colouring import (
     validate_tree_embedding,
     verify_defective,
 )
-from defekt.density import _denser_than, _edges_inside
+from defekt.density import _edges_inside
 from defekt.errors import AlgorithmError, StructuralError, ValidationError
 from defekt.graphs import Graph, induced_subgraph, is_tree
 
@@ -113,6 +115,115 @@ def degeneracy_by_min(g: Graph) -> tuple[int, tuple[int, ...]]:
     return k, tuple(order)
 
 
+class _Dinic:
+    def __init__(self, n: int):
+        self.n = n
+        self.head: list[list[int]] = [[] for _ in range(n)]
+        self.to: list[int] = []
+        self.cap: list[int] = []
+
+    def add(self, u: int, v: int, c: int) -> None:
+        self.head[u].append(len(self.to))
+        self.to.append(v)
+        self.cap.append(c)
+        self.head[v].append(len(self.to))
+        self.to.append(u)
+        self.cap.append(0)
+
+    def _levels(self, s: int, t: int) -> list[int] | None:
+        level = [-1] * self.n
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            for e in self.head[u]:
+                v = self.to[e]
+                if self.cap[e] > 0 and level[v] < 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        return level if level[t] >= 0 else None
+
+    def _push(self, u: int, t: int, limit: int, level, it) -> int:
+        if u == t:
+            return limit
+        while it[u] < len(self.head[u]):
+            e = self.head[u][it[u]]
+            v = self.to[e]
+            if self.cap[e] > 0 and level[v] == level[u] + 1:
+                got = self._push(v, t, min(limit, self.cap[e]), level, it)
+                if got:
+                    self.cap[e] -= got
+                    self.cap[e ^ 1] += got
+                    return got
+            it[u] += 1
+        return 0
+
+    def maxflow(self, s: int, t: int) -> int:
+        flow = 0
+        while True:
+            level = self._levels(s, t)
+            if level is None:
+                return flow
+            it = [0] * self.n
+            while True:
+                got = self._push(s, t, 1 << 200, level, it)
+                if not got:
+                    break
+                flow += got
+
+    def source_side(self, s: int) -> set[int]:
+        seen = {s}
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for e in self.head[u]:
+                v = self.to[e]
+                if self.cap[e] > 0 and v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return seen
+
+
+def denser_than_by_edge_network(g: Graph, lam: Fraction) -> list[int] | None:
+    """A vertex set whose edge/vertex ratio strictly exceeds ``lam``, or None.
+
+    Min-cut on the (m+n+2)-node edge-node network: a unit of supply per
+    edge must reach the sink through its endpoints, each endpoint charging
+    ``lam``.  Capacities are scaled by the denominator so the flow is pure
+    integer arithmetic.
+    """
+    p, q = lam.numerator, lam.denominator
+    m, n = g.m, g.n
+    source, sink = 0, 1 + m + n
+    net = _Dinic(m + n + 2)
+    inf = m * q + 1
+    for i, (u, v) in enumerate(g.edges()):
+        net.add(source, 1 + i, q)
+        net.add(1 + i, 1 + m + u, inf)
+        net.add(1 + i, 1 + m + v, inf)
+    for v in range(n):
+        net.add(1 + m + v, sink, p)
+    flow = net.maxflow(source, sink)
+    if flow >= m * q:
+        return None
+    side = net.source_side(source)
+    chosen = sorted(v for v in range(n) if (1 + m + v) in side)
+    if not chosen:
+        raise AlgorithmError("cut side empty despite slack in the flow")
+    return chosen
+
+
+def mad_by_edge_network(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
+    """``density.mad_exact``'s Dinkelbach iteration, each step a flow on the
+    edge-node network."""
+    if g.m == 0:
+        return Fraction(0), (0,)
+    best_set = list(range(g.n))
+    best = Fraction(g.m, g.n)
+    while (found := denser_than_by_edge_network(g, best)) is not None:
+        best, best_set = Fraction(_edges_inside(g, found), len(found)), found
+    return 2 * best, tuple(best_set)
+
+
 def mad_by_bisection(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
     """Bisect the density guess until the bracket is under 1/n^2, the least
     gap between distinct subgraph densities, keeping the densest witness."""
@@ -125,7 +236,7 @@ def mad_by_bisection(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
     thresh = Fraction(1, n * n)
     while hi - lo > thresh:
         mid = (lo + hi) / 2
-        found = _denser_than(g, mid)
+        found = denser_than_by_edge_network(g, mid)
         if found is None:
             hi = mid
         else:
@@ -134,6 +245,25 @@ def mad_by_bisection(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
             if dens > best:
                 best, best_set = dens, found
     return 2 * best, tuple(best_set)
+
+
+def matching_by_recursion(num_left, num_right, adj):
+    """Kuhn's matching with a recursive augmenting-path search."""
+    match_l = [-1] * num_left
+    match_r = [-1] * num_right
+
+    def augment(i, seen):
+        for j in adj[i]:
+            if not seen[j]:
+                seen[j] = True
+                if match_r[j] == -1 or augment(match_r[j], seen):
+                    match_l[i] = j
+                    match_r[j] = i
+                    return True
+        return False
+
+    size = sum(augment(i, [False] * num_right) for i in range(num_left))
+    return size, match_l, match_r
 
 
 def tree_centre_radius(t: Graph) -> tuple[int, int]:

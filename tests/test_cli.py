@@ -11,6 +11,8 @@ import pytest
 from defekt import caps, experiments
 from defekt.cli import build_parser, main
 
+from helpers import ladder
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -36,12 +38,10 @@ def test_gadget_formats(capsys):
     }
 
 
-def test_bounds_earth_moon_both_spellings(capsys):
-    code, via_arg = run(capsys, "bounds", "earth-moon")
+def test_bounds_earth_moon_table(capsys):
+    code, out = run(capsys, "bounds", "earth-moon")
     assert code == 0
-    code, via_flag = run(capsys, "bounds", "--table", "earth-moon")
-    assert via_arg == via_flag
-    rows = json.loads(via_arg)
+    rows = json.loads(out)
     assert [r["colours"] for r in rows] == [5, 6, 7, 8, 9, 10, 11]
 
 
@@ -62,6 +62,16 @@ def test_analyze_stdin_roundtrip(tmp_path, capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["mad"] == "2"
     assert payload["degeneracy"] == 2
+
+
+def test_analyze_long_ladder(tmp_path, capsys):
+    # its flow paths run ~1000 steps deep, past a recursive search's limit
+    g = ladder(1000)
+    path = tmp_path / "ladder.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v in g.edges()))
+    code, out = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert json.loads(out)["mad"] == "1499/500"
 
 
 def test_colour_verify_round_trip(tmp_path, capsys):
@@ -198,8 +208,13 @@ def test_fault_inside_an_experiment_is_not_a_usage_error(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "text", ["[" * 100_000, "p edge 3 1\ne 1 2 " + "7" * 50_000 + "\n"],
-    ids=["edge-list", "dimacs"],
+    "text",
+    [
+        "[" * 100_000,
+        "p edge 3 1\ne 1 2 " + "7" * 50_000 + "\n",
+        '{"n": 2, "edges": [[0, "' + "x" * 100_000 + '"]]}',
+    ],
+    ids=["edge-list", "dimacs", "json-edge-entry"],
 )
 def test_parse_error_quotes_a_short_prefix(tmp_path, capsys, text):
     graph = tmp_path / "g.txt"

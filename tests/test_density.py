@@ -3,9 +3,11 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defekt import corpus, gadgets
 from defekt.density import (
+    _denser_than,
     build_report,
     degeneracy,
     mad_bruteforce,
@@ -16,8 +18,13 @@ from defekt.density import (
 from defekt.errors import CapExceededError, ValidationError
 from defekt.graphs import Graph
 
-from helpers import graphs, nonempty_graphs
-from oracles import degeneracy_by_min, mad_by_bisection
+from helpers import graphs, grid, ladder, nonempty_graphs
+from oracles import (
+    degeneracy_by_min,
+    denser_than_by_edge_network,
+    mad_by_bisection,
+    mad_by_edge_network,
+)
 
 
 def _densest_union(g):
@@ -65,6 +72,33 @@ def test_degeneracy_at_most_floor_mad(g):
 )
 def test_mad_dinkelbach_matches_bisection_on_larger_graphs(g):
     assert mad_exact(g) == mad_by_bisection(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nonempty_graphs(max_n=12), st.fractions(0, 6, max_denominator=40))
+def test_vertex_network_matches_edge_network(g, lam):
+    # the (n+2)-node network answers every density query as the edge-node
+    # network does, so mad_exact keeps each Dinkelbach step and its witness
+    assert _denser_than(g, lam) == denser_than_by_edge_network(g, lam)
+    assert mad_exact(g) == mad_by_edge_network(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        corpus.apollonian(1000, 1),
+        corpus.random_tree(500, 2),
+        ladder(250),
+        grid(50, 40),
+        grid(50, 40, clique=8),
+        corpus.gnp(300, 0.03, 6),
+        corpus.random_unicyclic(400, 4),
+        corpus.planar_girth_5(300, 2),
+    ],
+    ids=["apollonian", "tree", "ladder", "grid", "grid-k8", "gnp", "unicyclic", "girth-5"],
+)
+def test_mad_exact_matches_edge_network_on_fixed_graphs(g):
+    assert mad_exact(g) == mad_by_edge_network(g)
 
 
 @settings(max_examples=100, deadline=None)
