@@ -342,6 +342,8 @@ def _cmd_bounds(args) -> tuple[int, object]:
             f"bounds needs a formula id or earth-moon; formulas: {sorted(FORMULAS)}"
         )
     if args.formula == "earth-moon":
+        if args.params is not None:
+            raise ValidationError("earth-moon takes no --params")
         return 0, earth_moon_table()
     params = _json_object(args.params, "--params") if args.params else {}
     return 0, evaluate(args.formula, **params).to_payload()

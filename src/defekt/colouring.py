@@ -59,7 +59,7 @@ def verify_defective(
         raise ValidationError("defect must be >= 0")
     violations = []
     for v in g.vertices():
-        same = sum(1 for w in g.neighbours(v) if colours[w] == colours[v])
+        same = [colours[w] for w in g.neighbours(v)].count(colours[v])
         if same > d:
             violations.append((v, same))
     return not violations, tuple(violations)

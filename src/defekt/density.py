@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .caps import current_caps
 from .errors import AlgorithmError, CapExceededError, ValidationError
-from .graphs import Graph, bits_of, induced_subgraph
+from .graphs import Graph, induced_subgraph
 from .matching import max_bipartite_matching
 
 
@@ -282,19 +282,13 @@ def top_grad_half(
         ub = e_in + min(len(missing), n - size)
         if ub * best_den <= best_num * size:
             return
-        cand_masks = [masks[u] & masks[v] & ~s_mask for u, v in missing]
-        rights = sorted(set().union(*map(bits_of, cand_masks)))
-        index = {w: j for j, w in enumerate(rights)}
-        adj = [[index[w] for w in bits_of(cm)] for cm in cand_masks]
-        msize, match_l, _ = max_bipartite_matching(len(missing), len(rights), adj)
+        msize, match = max_bipartite_matching(
+            [masks[u] & masks[v] & ~s_mask for u, v in missing]
+        )
         val = e_in + msize
         if val * best_den > best_num * size:
             best_num, best_den = val, size
-            pairs = [
-                (u, v, rights[match_l[i]])
-                for i, (u, v) in enumerate(missing)
-                if match_l[i] != -1
-            ]
+            pairs = [(u, v, w) for (u, v), w in zip(missing, match) if w != -1]
             best_info = (list(s_bits), pairs)
 
     def visit(s_bits: list[int], s_mask: int, e_in: int, start: int) -> None:
@@ -328,18 +322,15 @@ def top_grad_half(
     s_bits, pairs = best_info
     branch = tuple(sorted(s_bits))
     pos = {v: i for i, v in enumerate(branch)}
-    base_edges = set()
     routes: dict[tuple[int, int], tuple[int, ...]] = {}
     for i, u in enumerate(branch):
         for v in branch[i + 1 :]:
             if masks[u] >> v & 1:
-                base_edges.add((pos[u], pos[v]))
                 routes[(pos[u], pos[v])] = (u, v)
     for u, v, w in pairs:
         a, b = min(pos[u], pos[v]), max(pos[u], pos[v])
-        base_edges.add((a, b))
         routes[(a, b)] = (branch[a], w, branch[b])
-    base = Graph(len(branch), sorted(base_edges))
+    base = Graph(len(branch), routes)
     paths = tuple(routes[e] for e in base.edges())
     witness = SubdivisionWitness(base=base, branch=branch, paths=paths)
     bugs = validate_subdivision_witness(g, witness)

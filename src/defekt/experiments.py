@@ -112,8 +112,11 @@ def dichotomy_random(seed: int = 0, count: int = 300, size: int = 14) -> list[di
         g = corpus.gnp(n, p, inst_seed)
         s = 1 + attempt % 3
         t = 1 + (attempt // 3) % 3
-        delta = mad_exact(g)[0] if g.m else Fraction(0)
-        grad = top_grad_half(g)[0] if g.m else Fraction(0)
+        if g.m:
+            delta, wit = mad_exact(g)
+            grad = top_grad_half(g, _mad_witness=wit)[0]
+        else:
+            delta = grad = Fraction(0)
         try:
             cert = structural_dichotomy(g, s, t, delta, 2 * grad)
             ell = dichotomy_threshold(s, t, delta, 2 * grad) if g.m else 0

@@ -1,8 +1,11 @@
 """Maximum bipartite matching by augmenting paths.
 
-Kuhn's algorithm, iterating left vertices in index order, so results are
-deterministic for a fixed input.  Fine for the matchings this package needs
-(tens of vertices); swap in Hopcroft-Karp if that ever changes.
+Kuhn's algorithm over candidate bitmasks: left slot ``i`` may take any right
+vertex whose bit is set in ``cands[i]``.  Slots are augmented in index order
+and each tries its candidates in ascending vertex order, so results are
+deterministic for a fixed input.  The K*_{s,t} search builds thousands of
+slots that share one candidate mask; each augment can then walk through
+every earlier slot, so t such slots cost O(t^2) mask steps.
 """
 
 from __future__ import annotations
@@ -10,39 +13,36 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 
-def max_bipartite_matching(
-    num_left: int, num_right: int, adj: Sequence[Sequence[int]]
-) -> tuple[int, list[int], list[int]]:
-    """Match left vertices to right ones along ``adj[i]`` candidate lists.
+def max_bipartite_matching(cands: Sequence[int]) -> tuple[int, list[int]]:
+    """Match each left slot to a distinct right vertex from its candidate mask.
 
-    Returns (size, match_left, match_right) with -1 marking unmatched.
+    Returns (size, match) where ``match[i]`` is the right vertex of slot ``i``,
+    or -1 when the slot is unmatched.
     """
-    match_l = [-1] * num_left
-    match_r = [-1] * num_right
-
-    def augment(root: int, seen: list[bool]) -> bool:
-        # depth-first with an explicit stack of (left vertex, its untried
-        # candidates); each left below the root holds the right it was
-        # reached through, so the path flips along the stack alone
-        stack = [(root, iter(adj[root]))]
+    match = [-1] * len(cands)
+    owner: dict[int, int] = {}
+    size = 0
+    for root in range(len(cands)):
+        # depth-first with an explicit stack of slots; each slot below the
+        # root holds the right vertex it was reached through, so the path
+        # flips along the stack alone.  Every candidate a slot has passed
+        # is in ``seen``, so its next candidate is its lowest unseen bit.
+        seen = 0
+        stack = [root]
         while stack:
-            for j in stack[-1][1]:
-                if not seen[j]:
-                    break
-            else:
+            free = cands[stack[-1]] & ~seen
+            if not free:
                 stack.pop()
                 continue
-            seen[j] = True
-            if match_r[j] == -1:
-                for i, _ in reversed(stack):
-                    match_l[i], j = j, match_l[i]
-                    match_r[match_l[i]] = i
-                return True
-            stack.append((match_r[j], iter(adj[match_r[j]])))
-        return False
-
-    size = 0
-    for i in range(num_left):
-        if adj[i] and augment(i, [False] * num_right):
+            low = free & -free
+            seen |= low
+            j = low.bit_length() - 1
+            if j in owner:
+                stack.append(owner[j])
+                continue
+            for i in reversed(stack):
+                match[i], j = j, match[i]
+                owner[match[i]] = i
             size += 1
-    return size, match_l, match_r
+            break
+    return size, match

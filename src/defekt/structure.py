@@ -167,20 +167,10 @@ def find_kst_star(g: Graph, s: int, t: int) -> KstStarEmbedding | None:
         pair_cands = [masks[u] & masks[v] & ~amask for u, v in pairs]
         if any(pc == 0 for pc in pair_cands):
             continue
-        right_mask = common
-        for pc in pair_cands:
-            right_mask |= pc
-        rights = bits_of(right_mask)
-        index = {w: i for i, w in enumerate(rights)}
-        adj = [[index[w] for w in bits_of(pc)] for pc in pair_cands]
-        common_slots = [index[w] for w in bits_of(common)]
-        adj.extend([common_slots] * t)
-        size, match_l, _ = max_bipartite_matching(len(adj), len(rights), adj)
-        if size == len(adj):
-            pair_vertices = tuple(
-                ((u, v), rights[match_l[i]]) for i, (u, v) in enumerate(pairs)
-            )
-            outer = tuple(sorted(rights[match_l[n_pairs + j]] for j in range(t)))
+        size, match = max_bipartite_matching(pair_cands + [common] * t)
+        if size == n_pairs + t:
+            pair_vertices = tuple(zip(pairs, match))
+            outer = tuple(sorted(match[n_pairs:]))
             return KstStarEmbedding(
                 centres=tuple(centres), outer=outer, pair_vertices=pair_vertices
             )

@@ -188,10 +188,12 @@ def assert_usage_error(capsys, *argv) -> str:
         ["bounds", "crossing-lower", "--params",
          '{"n": 1000000000000, "m": 6772001872658, "genus": 3}'],
         ["experiment", "earth-moon-table", "--count", "3"],
+        ["bounds", "earth-moon", "--params", '{"x": 1}'],
     ],
     ids=["bounds-string-delta", "bounds-string-s", "bounds-bool-s",
          "bounds-int-too-long", "gadget-binary-tree-over-cap", "gadget-path-over-cap",
-         "out-in-missing-dir", "out-is-a-dir", "bounds-precision", "experiment-override"],
+         "out-in-missing-dir", "out-is-a-dir", "bounds-precision", "experiment-override",
+         "bounds-earth-moon-params"],
 )
 def test_bad_argument_is_usage_error(tmp_path, capsys, argv):
     assert_usage_error(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
