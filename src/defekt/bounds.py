@@ -201,29 +201,6 @@ def queue_params(k: int) -> ParamBundle:
 
 
 # ---------------------------------------------------------------------------
-# excluded-minor bounds on colours from pattern shape
-
-def hfree_bounds(h) -> tuple[int, int]:
-    """Bounds (lower, upper) on the colours needed by graphs excluding h as
-    a minor, with defect allowed to depend on h.
-
-    A star plus isolated vertices pins the value to one colour exactly.
-    Otherwise the tree-depth of h minus one is a lower bound and its vertex
-    cover number an upper bound.
-    """
-    from . import structure  # local import to avoid a cycle
-
-    if h.n == 0:
-        raise ValidationError("pattern must have at least one vertex")
-    shape = structure.is_star_plus_isolated(h)
-    if shape is not None and h.n >= 2:
-        return (1, 1)
-    td = structure.tree_depth(h)
-    tau, _ = structure.vertex_cover_number(h)
-    return (td - 1, tau)
-
-
-# ---------------------------------------------------------------------------
 # recorded tables
 
 def earth_moon_table() -> list[dict]:

@@ -4,7 +4,7 @@ Every brute-force routine refuses inputs above its cap instead of silently
 running forever.  Defaults are sized so each capped search finishes in
 seconds.  Every routine reads its cap from ``current_caps()`` when called;
 override them through the ``DEFEKT_CAPS`` environment variable (a JSON object
-such as ``{"mad_bruteforce": 18}``, unknown keys rejected), which the CLI's
+such as ``{"minor_host": 12}``, unknown keys rejected), which the CLI's
 ``--cap NAME=VALUE`` overlays for one invocation.
 """
 
@@ -22,7 +22,6 @@ ENV_VAR = "DEFEKT_CAPS"
 
 @dataclasses.dataclass(frozen=True)
 class Caps:
-    mad_bruteforce: int = 16
     top_grad: int = 20
     minor_host: int = 14
     minor_pattern: int = 8
@@ -30,7 +29,6 @@ class Caps:
     tree_depth: int = 12
     kd_colour_k2: int = 18
     kd_colour_k3: int = 12
-    choosability_vertices: int = 8
     gadget_vertices: int = 500_000
 
 

@@ -1,4 +1,4 @@
-"""Constructive defective-colouring algorithms and their exhaustive oracles.
+"""Constructive defective-colouring algorithms and their exhaustive oracle.
 
 The workhorse is the peel-and-replay list colouring: strip a low-degree
 vertex or a light edge until nothing is left, then reinsert in reverse,
@@ -16,7 +16,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
 from math import comb, floor
 from typing import Callable, Iterable, Sequence, Union
 
@@ -248,7 +247,7 @@ def defective_list_colour(
 
 
 # ---------------------------------------------------------------------------
-# exhaustive oracles
+# exhaustive oracle
 
 def _backtrack(
     g: Graph, d: int, choices: Callable[[int, int], Iterable[int]]
@@ -319,39 +318,6 @@ def is_kd_colourable_bruteforce(
     if colours is None:
         return False, None
     return True, tuple(colours)
-
-
-def choosability_check_bounded_palette(
-    g: Graph, k: int, d: int, palette_size: int
-) -> bool:
-    """Check (k,d)-choosability against every k-list assignment drawn from
-    a palette of ``palette_size`` colours.
-
-    A False answer is a genuine refutation.  A True answer only says no
-    bad assignment exists within the palette; larger palettes could still
-    defeat the graph.  Renaming palette colours maps list assignments to
-    equivalent ones, so the first vertex's list is pinned to {1..k}.
-    """
-    caps = current_caps()
-    if g.n > caps.choosability_vertices:
-        raise CapExceededError(
-            f"choosability check needs n <= {caps.choosability_vertices}, got {g.n}"
-        )
-    if k < 1 or d < 0:
-        raise ValidationError("need k >= 1 and d >= 0")
-    if not k <= palette_size <= 2 * k:
-        raise ValidationError(
-            f"palette must satisfy {k} <= palette_size <= {2 * k}"
-        )
-    if g.n == 0:
-        return True
-    subsets = list(combinations(range(1, palette_size + 1), k))
-    first = subsets[0]  # == (1, .., k)
-    for rest in product(subsets, repeat=g.n - 1):
-        lists = (first,) + rest
-        if _backtrack(g, d, lambda v, top: lists[v]) is None:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -73,27 +73,6 @@ def apollonian(n: int, seed: int) -> Graph:
     return Graph(n, edges)
 
 
-def planar_min_degree_3(n: int, seed: int) -> Graph:
-    """Planar graph with minimum degree 3: a triangulation thinned by
-    deletions that never drop an endpoint below degree 4 beforehand."""
-    if n < 4:
-        raise ValidationError("need n >= 4")
-    g = apollonian(n, seed)
-    rng = random.Random(seed ^ 0x5EED)
-    adj = g.adjacency_sets()
-    edges = list(g.edges())
-    rng.shuffle(edges)
-    removed = 0
-    for u, v in edges:
-        if removed >= n // 3:
-            break
-        if len(adj[u]) >= 4 and len(adj[v]) >= 4:
-            adj[u].discard(v)
-            adj[v].discard(u)
-            removed += 1
-    return Graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
-
-
 def shortest_cycle(g: Graph) -> tuple[int, ...] | None:
     """Some shortest cycle as a vertex tuple, or None in a forest."""
     best: tuple[int, ...] | None = None
@@ -129,11 +108,6 @@ def shortest_cycle(g: Graph) -> tuple[int, ...] | None:
                     if len(cyc) >= 3 and (best is None or len(cyc) < len(best)):
                         best = cyc
     return best
-
-
-def girth(g: Graph) -> int | None:
-    cyc = shortest_cycle(g)
-    return None if cyc is None else len(cyc)
 
 
 def planar_girth_5(n: int, seed: int) -> Graph:

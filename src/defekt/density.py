@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .caps import current_caps
-from .errors import AlgorithmError, CapExceededError, ValidationError
+from .errors import AlgorithmError, ValidationError
 from .graphs import Graph, induced_subgraph
 from .matching import max_bipartite_matching
 
@@ -132,29 +132,6 @@ def mad_exact(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
     while (found := _denser_than(g, best)) is not None:
         best, best_set = Fraction(_edges_inside(g, found), len(found)), found
     return 2 * best, tuple(best_set)
-
-
-def mad_bruteforce(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
-    """Maximum average degree by subset enumeration; oracle for small graphs."""
-    if g.n == 0:
-        raise ValidationError("density of the empty graph is undefined")
-    limit = current_caps().mad_bruteforce
-    if g.n > limit:
-        raise CapExceededError(f"brute force needs n <= {limit}, got {g.n}")
-    masks = g.masks
-    n = g.n
-    edge_count = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        edge_count[mask] = edge_count[rest] + (masks[low] & rest).bit_count()
-    best = Fraction(-1)
-    best_mask = 1
-    for mask in range(1, 1 << n):
-        val = Fraction(2 * edge_count[mask], mask.bit_count())
-        if val > best:
-            best, best_mask = val, mask
-    return best, tuple(v for v in range(n) if best_mask >> v & 1)
 
 
 def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:

@@ -341,7 +341,8 @@ EXPERIMENTS: dict[str, Callable[..., list[dict]]] = {
 
 
 def run_experiment(name: str, seed: int = 0, **overrides) -> list[dict]:
-    """Run a named experiment; ``None`` overrides are left at its defaults."""
+    """Run a named experiment; ``None`` overrides are left at its defaults,
+    and the others must be positive."""
     if name not in EXPERIMENTS:
         raise ValidationError(
             f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"
@@ -351,4 +352,7 @@ def run_experiment(name: str, seed: int = 0, **overrides) -> list[dict]:
     unknown = sorted(set(kwargs) - set(inspect.signature(fn).parameters))
     if unknown:
         raise ValidationError(f"experiment {name!r} does not take {', '.join(unknown)}")
+    for key, value in kwargs.items():
+        if value <= 0:
+            raise ValidationError(f"{key} must be positive, got {value}")
     return fn(seed=seed, **kwargs)

@@ -180,11 +180,6 @@ def le_k_subdivision(g: Graph, lengths) -> Graph:
     return Graph(nxt, new_edges)
 
 
-def exact_one_subdivision(g: Graph) -> Graph:
-    """Subdivide every edge exactly once."""
-    return le_k_subdivision(g, 1)
-
-
 def gen_kell_H(ell: int, k: int) -> Graph:
     """A dominant vertex joined to ell disjoint stars, each with k leaves.
 

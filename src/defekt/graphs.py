@@ -368,65 +368,3 @@ def component_mask(masks: Sequence[int], inside: int, start_bit: int) -> int:
         frontier |= grow
     return comp
 
-
-# ---------------------------------------------------------------------------
-# isomorphism (small graphs only; used by tests and gadget checks)
-
-def isomorphism(g: Graph, h: Graph) -> list[int] | None:
-    """A vertex bijection g -> h preserving adjacency both ways, or None.
-
-    Backtracking with degree-profile pruning; intended for graphs up to a
-    couple dozen vertices.
-    """
-    if g.n != h.n or g.m != h.m:
-        return None
-
-    def profile(gr: Graph) -> list[tuple]:
-        return [
-            (gr.degree(v), tuple(sorted(gr.degree(u) for u in gr.neighbours(v))))
-            for v in gr.vertices()
-        ]
-
-    pg, ph = profile(g), profile(h)
-    if sorted(pg) != sorted(ph):
-        return None
-    candidates = [
-        [w for w in h.vertices() if ph[w] == pg[v]] for v in g.vertices()
-    ]
-    order = sorted(g.vertices(), key=lambda v: (len(candidates[v]), -g.degree(v)))
-    mapping = [-1] * g.n
-    used = [False] * h.n
-
-    def extend(i: int) -> bool:
-        if i == g.n:
-            return True
-        v = order[i]
-        for w in candidates[v]:
-            if used[w]:
-                continue
-            ok = True
-            for u in g.neighbours(v):
-                mu = mapping[u]
-                if mu != -1 and not h.has_edge(w, mu):
-                    ok = False
-                    break
-            if ok:
-                # non-edges must map to non-edges too
-                for u in order[:i]:
-                    if not g.has_edge(v, u) and h.has_edge(w, mapping[u]):
-                        ok = False
-                        break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if extend(i + 1):
-                    return True
-                mapping[v] = -1
-                used[w] = False
-        return False
-
-    return mapping if extend(0) else None
-
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    return isomorphism(g, h) is not None

@@ -574,3 +574,21 @@ def is_star_plus_isolated(h: Graph) -> tuple[int, int] | None:
     if any(h.degree(v) != 1 for v in positive if v != centre):
         return None
     return (h.degree(centre), h.n - len(positive))
+
+
+def hfree_bounds(h: Graph) -> tuple[int, int]:
+    """Bounds (lower, upper) on the colours needed by graphs excluding h as
+    a minor, with defect allowed to depend on h.
+
+    A star plus isolated vertices pins the value to one colour exactly.
+    Otherwise the tree-depth of h minus one is a lower bound and its vertex
+    cover number an upper bound.
+    """
+    if h.n == 0:
+        raise ValidationError("pattern must have at least one vertex")
+    shape = is_star_plus_isolated(h)
+    if shape is not None and h.n >= 2:
+        return (1, 1)
+    td = tree_depth(h)
+    tau, _ = vertex_cover_number(h)
+    return (td - 1, tau)

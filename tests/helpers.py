@@ -1,7 +1,11 @@
-"""Shared hypothesis strategies for the test suite."""
+"""Shared hypothesis strategies, graph builders and checkers for the test
+suite."""
+
+import random
 
 from hypothesis import strategies as st
 
+from defekt.corpus import apollonian
 from defekt.graphs import Graph
 
 
@@ -41,3 +45,82 @@ def grid(width: int, height: int, clique: int = 0) -> Graph:
     edges |= {(v, v + height) for v in range((width - 1) * height)}
     edges |= {(7 * a, 7 * b) for a in range(clique) for b in range(a + 1, clique)}
     return Graph(width * height, sorted(edges))
+
+
+def planar_min_degree_3(n: int, seed: int) -> Graph:
+    """Planar graph with minimum degree 3: a triangulation thinned by
+    deletions that never drop an endpoint below degree 4 beforehand."""
+    g = apollonian(n, seed)
+    rng = random.Random(seed ^ 0x5EED)
+    adj = g.adjacency_sets()
+    edges = list(g.edges())
+    rng.shuffle(edges)
+    removed = 0
+    for u, v in edges:
+        if removed >= n // 3:
+            break
+        if len(adj[u]) >= 4 and len(adj[v]) >= 4:
+            adj[u].discard(v)
+            adj[v].discard(u)
+            removed += 1
+    return Graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
+
+
+def isomorphism(g: Graph, h: Graph) -> list[int] | None:
+    """A vertex bijection g -> h preserving adjacency both ways, or None.
+
+    Backtracking with degree-profile pruning; intended for graphs up to a
+    couple dozen vertices.
+    """
+    if g.n != h.n or g.m != h.m:
+        return None
+
+    def profile(gr: Graph) -> list[tuple]:
+        return [
+            (gr.degree(v), tuple(sorted(gr.degree(u) for u in gr.neighbours(v))))
+            for v in gr.vertices()
+        ]
+
+    pg, ph = profile(g), profile(h)
+    if sorted(pg) != sorted(ph):
+        return None
+    candidates = [
+        [w for w in h.vertices() if ph[w] == pg[v]] for v in g.vertices()
+    ]
+    order = sorted(g.vertices(), key=lambda v: (len(candidates[v]), -g.degree(v)))
+    mapping = [-1] * g.n
+    used = [False] * h.n
+
+    def extend(i: int) -> bool:
+        if i == g.n:
+            return True
+        v = order[i]
+        for w in candidates[v]:
+            if used[w]:
+                continue
+            ok = True
+            for u in g.neighbours(v):
+                mu = mapping[u]
+                if mu != -1 and not h.has_edge(w, mu):
+                    ok = False
+                    break
+            if ok:
+                # non-edges must map to non-edges too
+                for u in order[:i]:
+                    if not g.has_edge(v, u) and h.has_edge(w, mapping[u]):
+                        ok = False
+                        break
+            if ok:
+                mapping[v] = w
+                used[w] = True
+                if extend(i + 1):
+                    return True
+                mapping[v] = -1
+                used[w] = False
+        return False
+
+    return mapping if extend(0) else None
+
+
+def is_isomorphic(g: Graph, h: Graph) -> bool:
+    return isomorphism(g, h) is not None

@@ -1,5 +1,5 @@
 """Plain reference versions of the fast peel, degeneracy, mad, matching
-and tree-free colouring.
+and tree-free colouring, plus two exhaustive checkers.
 
 A full rescan per peel step, a ``min`` over the live vertices per
 degeneracy step, bisection on the density guess for mad (each guess a
@@ -7,10 +7,14 @@ recursive Dinic flow on the (m+n+2)-node edge-node network), recursive
 augmenting paths for Kuhn's matching, and a neighbour recount over explicit
 residue sets per tree-free round.  They are quadratic, need ~30 flows or
 recurse once per path step, so they only serve as oracles that the fast
-versions must match exactly.
+versions must match exactly.  ``mad_bruteforce`` enumerates every vertex
+subset and ``choosability_check_bounded_palette`` every list assignment,
+so both are exponential and only meant for graphs of a dozen vertices or
+fewer.
 """
 
 from fractions import Fraction
+from itertools import combinations, product
 
 from defekt.colouring import (
     PeelTrace,
@@ -18,6 +22,7 @@ from defekt.colouring import (
     RemoveVertex,
     TreeEmbedding,
     TreeFreeOutcome,
+    _backtrack,
     validate_tree_embedding,
     verify_defective,
 )
@@ -183,6 +188,26 @@ class _Dinic:
         return seen
 
 
+def mad_bruteforce(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
+    """Maximum average degree by subset enumeration."""
+    if g.n == 0:
+        raise ValidationError("density of the empty graph is undefined")
+    masks = g.masks
+    n = g.n
+    edge_count = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        edge_count[mask] = edge_count[rest] + (masks[low] & rest).bit_count()
+    best = Fraction(-1)
+    best_mask = 1
+    for mask in range(1, 1 << n):
+        val = Fraction(2 * edge_count[mask], mask.bit_count())
+        if val > best:
+            best, best_mask = val, mask
+    return best, tuple(v for v in range(n) if best_mask >> v & 1)
+
+
 def denser_than_by_edge_network(g: Graph, lam: Fraction) -> list[int] | None:
     """A vertex set whose edge/vertex ratio strictly exceeds ``lam``, or None.
 
@@ -264,6 +289,34 @@ def matching_by_recursion(num_left, num_right, adj):
 
     size = sum(augment(i, [False] * num_right) for i in range(num_left))
     return size, match_l, match_r
+
+
+def choosability_check_bounded_palette(
+    g: Graph, k: int, d: int, palette_size: int
+) -> bool:
+    """Check (k,d)-choosability against every k-list assignment drawn from
+    a palette of ``palette_size`` colours.
+
+    A False answer is a genuine refutation.  A True answer only says no
+    bad assignment exists within the palette; larger palettes could still
+    defeat the graph.  Renaming palette colours maps list assignments to
+    equivalent ones, so the first vertex's list is pinned to {1..k}.
+    """
+    if k < 1 or d < 0:
+        raise ValidationError("need k >= 1 and d >= 0")
+    if not k <= palette_size <= 2 * k:
+        raise ValidationError(
+            f"palette must satisfy {k} <= palette_size <= {2 * k}"
+        )
+    if g.n == 0:
+        return True
+    subsets = list(combinations(range(1, palette_size + 1), k))
+    first = subsets[0]  # == (1, .., k)
+    for rest in product(subsets, repeat=g.n - 1):
+        lists = (first,) + rest
+        if _backtrack(g, d, lambda v, top: lists[v]) is None:
+            return False
+    return True
 
 
 def tree_centre_radius(t: Graph) -> tuple[int, int]:

@@ -20,10 +20,13 @@ from defekt.bounds import (
     main_defect_bound,
 )
 from defekt.colouring import defective_list_colour, verify_defective
-from defekt.density import degeneracy, mad_bruteforce, mad_exact
+from defekt.density import degeneracy, mad_exact
 from defekt.errors import StructuralError
 from defekt.experiments import run_experiment
 from defekt.structure import find_light_edge
+
+from helpers import planar_min_degree_3
+from oracles import mad_bruteforce
 
 C1_SEED = 48625
 C6_SEED = 90210
@@ -121,7 +124,7 @@ def test_c06_planar_min_degree_3_graphs_have_a_12_light_edge():
     """Min-degree-3 planar graphs always expose a light edge at level 12."""
     for i in range(100):
         n = 10 + (i * 7) % 31
-        g = corpus.planar_min_degree_3(n, C6_SEED + i)
+        g = planar_min_degree_3(n, C6_SEED + i)
         assert g.n <= 40
         assert g.min_degree() >= 3
         edge = find_light_edge(g, 12)

@@ -12,7 +12,6 @@ from defekt.bounds import (
     earth_moon_table,
     evaluate,
     genus_thickness_colour_params,
-    hfree_bounds,
     main_defect_bound,
     n1,
     queue_params,
@@ -20,6 +19,7 @@ from defekt.bounds import (
     surface_edge_bound,
 )
 from defekt.errors import ValidationError
+from defekt.structure import hfree_bounds
 
 
 def test_n1_base_cases():

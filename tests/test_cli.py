@@ -1,10 +1,13 @@
 """End-to-end runs of the command line through ``main(argv)``."""
 
+import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -189,11 +192,16 @@ def assert_usage_error(capsys, *argv) -> str:
          '{"n": 1000000000000, "m": 6772001872658, "genus": 3}'],
         ["experiment", "earth-moon-table", "--count", "3"],
         ["bounds", "earth-moon", "--params", '{"x": 1}'],
+        ["experiment", "dichotomy-random", "--size", "0", "--count", "2"],
+        ["experiment", "no-c4-planar", "--size", "0"],
+        ["experiment", "kell-smoke", "--count", "-3"],
+        ["experiment", "no-c4-planar", "--size", "-1"],
     ],
     ids=["bounds-string-delta", "bounds-string-s", "bounds-bool-s",
          "bounds-int-too-long", "gadget-binary-tree-over-cap", "gadget-path-over-cap",
          "out-in-missing-dir", "out-is-a-dir", "bounds-precision", "experiment-override",
-         "bounds-earth-moon-params"],
+         "bounds-earth-moon-params", "dichotomy-size-zero", "no-c4-size-zero",
+         "kell-count-negative", "no-c4-size-negative"],
 )
 def test_bad_argument_is_usage_error(tmp_path, capsys, argv):
     assert_usage_error(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
@@ -353,10 +361,26 @@ def test_cap_override(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["minor"] is not None
 
 
-def test_cap_override_bad_pairs(capsys):
+def test_cap_override_bad_pairs(tmp_path, capsys, monkeypatch):
     assert run(capsys, "bounds", "earth-moon", "--cap", "minor_host")[0] == 2
     assert run(capsys, "bounds", "earth-moon", "--cap", "minor_host=x")[0] == 2
-    assert run(capsys, "bounds", "earth-moon", "--cap", "bogus=3")[0] == 2
+    graph = tmp_path / "p3.txt"
+    graph.write_text("0 1\n1 2\n")
+    # mad_bruteforce and choosability_vertices were cap keys once
+    for name in ("bogus", "mad_bruteforce", "choosability_vertices"):
+        monkeypatch.delenv("DEFEKT_CAPS", raising=False)
+        assert_usage_error(capsys, "analyze", str(graph), "--cap", f"{name}=16")
+        monkeypatch.setenv("DEFEKT_CAPS", json.dumps({name: 16}))
+        assert_usage_error(capsys, "analyze", str(graph))
+
+
+def test_every_cap_is_read():
+    # a cap that no routine reads is a knob that changes nothing
+    package = Path(caps.__file__).parent
+    source = "".join(p.read_text() for p in package.glob("*.py") if p.name != "caps.py")
+    unread = [f.name for f in dataclasses.fields(caps.Caps)
+              if not re.search(rf"\.{f.name}\b", source)]
+    assert unread == []
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -12,7 +12,6 @@ from hypothesis import find, given, settings, strategies as st
 from defekt import corpus, gadgets
 from defekt.colouring import (
     build_peel_trace,
-    choosability_check_bounded_palette,
     colour_kell,
     colour_tree_free,
     defective_list_colour,
@@ -30,7 +29,12 @@ from defekt.errors import (
 from defekt.graphs import Graph
 
 from helpers import graphs
-from oracles import colour_tree_free_by_residues, peel_by_rescan, replay_forward_check
+from oracles import (
+    choosability_check_bounded_palette,
+    colour_tree_free_by_residues,
+    peel_by_rescan,
+    replay_forward_check,
+)
 
 
 def test_verify_defective_counts():
@@ -192,14 +196,12 @@ def test_choosability_frozen_odd_cycle():
     assert choosability_check_bounded_palette(c5, 2, 1, 3) is True
 
 
-def test_choosability_validation_and_cap():
+def test_choosability_palette_validation():
     g = gadgets.path(3)
     with pytest.raises(ValidationError):
         choosability_check_bounded_palette(g, 2, 0, 1)
     with pytest.raises(ValidationError):
         choosability_check_bounded_palette(g, 2, 0, 5)
-    with pytest.raises(CapExceededError):
-        choosability_check_bounded_palette(gadgets.cycle(9), 2, 0, 3)
 
 
 def test_tree_free_low_degree_host_gets_colours():

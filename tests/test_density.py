@@ -10,18 +10,18 @@ from defekt.density import (
     _denser_than,
     build_report,
     degeneracy,
-    mad_bruteforce,
     mad_exact,
     top_grad_half,
     validate_subdivision_witness,
 )
-from defekt.errors import CapExceededError, ValidationError
+from defekt.errors import ValidationError
 from defekt.graphs import Graph
 
 from helpers import graphs, grid, ladder, nonempty_graphs
 from oracles import (
     degeneracy_by_min,
     denser_than_by_edge_network,
+    mad_bruteforce,
     mad_by_bisection,
     mad_by_edge_network,
 )
@@ -134,11 +134,6 @@ def test_mad_edge_cases():
     with pytest.raises(ValidationError):
         mad_exact(Graph(0))
     assert mad_exact(Graph(3))[0] == 0
-
-
-def test_mad_bruteforce_cap():
-    with pytest.raises(CapExceededError):
-        mad_bruteforce(gadgets.cycle(17))
 
 
 def naive_grad_half(g: Graph) -> Fraction:

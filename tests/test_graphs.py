@@ -11,7 +11,6 @@ from defekt.graphs import (
     from_edge_list,
     from_json,
     induced_subgraph,
-    is_isomorphic,
     is_tree,
     sniff,
     to_dimacs,
@@ -19,7 +18,7 @@ from defekt.graphs import (
     to_json,
 )
 
-from helpers import graphs
+from helpers import graphs, is_isomorphic
 
 
 def test_duplicate_edges_collapse():

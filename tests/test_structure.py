@@ -10,7 +10,7 @@ from defekt import gadgets
 from defekt.colouring import build_peel_trace, colour_tree_free
 from defekt.density import mad_exact, top_grad_half
 from defekt.errors import CapExceededError, PreconditionRefutedError
-from defekt.graphs import Graph, connected_components, is_isomorphic
+from defekt.graphs import Graph, connected_components
 from defekt.structure import (
     KstStarEmbedding,
     dichotomy_threshold,
@@ -26,7 +26,7 @@ from defekt.structure import (
     vertex_cover_number,
 )
 
-from helpers import graphs, nonempty_graphs
+from helpers import graphs, is_isomorphic, nonempty_graphs
 
 
 def test_find_light_edge():
