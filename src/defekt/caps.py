@@ -1,11 +1,13 @@
 """Size caps for the exact search oracles.
 
-Every brute-force routine refuses inputs above its cap instead of silently
-running forever.  Defaults are sized so each capped search finishes in
-seconds.  Every routine reads its cap from ``current_caps()`` when called;
-override them through the ``DEFEKT_CAPS`` environment variable (a JSON object
-such as ``{"minor_host": 12}``, unknown keys rejected), which the CLI's
-``--cap NAME=VALUE`` overlays for one invocation.
+Above its cap a brute-force routine either refuses the input
+(``CapExceededError``) or, where a safe degradation exists, takes it and
+labels the answer (``top_grad_half`` falls back to a
+``heuristic-lower-bound``); none runs unbounded.  Defaults are sized so each
+capped search finishes in seconds.  Every routine reads its cap from
+``current_caps()`` when called; override them through the ``DEFEKT_CAPS``
+environment variable (a JSON object such as ``{"minor_host": 12}``, unknown
+keys rejected), the only place caps are set.
 """
 
 from __future__ import annotations

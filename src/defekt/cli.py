@@ -5,7 +5,9 @@ Seven subcommands wire the library together: ``analyze`` (density report),
 ``verify`` (re-check colourings and certificates), ``bounds`` (closed-form
 formulas), ``gadget`` (named constructions), and ``experiment`` (seeded
 check suites).  Exit codes: 0 success, 1 structural failure with a witness
-in the report, 2 usage error.  Output is deterministic for a fixed argv:
+in the report, 2 usage error, 3 internal fault (a failed self-check, reported
+as JSON on stderr).  Caps come from ``DEFEKT_CAPS`` alone; a bad value is a
+usage error before any work.  Output is deterministic for a fixed argv:
 keys are sorted and nothing is stamped with times or paths.
 """
 
@@ -34,6 +36,7 @@ from .colouring import (
 )
 from .density import build_report
 from .errors import (
+    AlgorithmError,
     CapExceededError,
     ParseError,
     PrecisionError,
@@ -58,6 +61,7 @@ from .structure import (
 
 USAGE_ERROR = 2
 STRUCTURAL_ERROR = 1
+INTERNAL_ERROR = 3
 
 
 def _read_text(path: str) -> str:
@@ -110,25 +114,6 @@ def _parse_colouring(text: str, n: int) -> tuple:
     if missing:
         raise ValidationError(f"colouring misses vertices {missing[:8]}")
     return tuple(out)
-
-
-def _apply_caps(pairs: list[str] | None) -> None:
-    """Overlay --cap pairs onto DEFEKT_CAPS for this process."""
-    if not pairs:
-        return
-    caps_mod.current_caps()  # the base must be a valid cap object before it is overlaid
-    raw = os.environ.get(caps_mod.ENV_VAR)
-    merged = json.loads(raw) if raw else {}
-    for pair in pairs:
-        name, sep, value = pair.partition("=")
-        if not sep:
-            raise ValidationError(f"--cap needs NAME=VALUE, got {pair!r}")
-        try:
-            merged[name] = int(value)
-        except ValueError:
-            raise ValidationError(f"cap {name!r} needs an integer, got {value!r}") from None
-    os.environ[caps_mod.ENV_VAR] = json.dumps(merged, sort_keys=True)
-    caps_mod.current_caps()  # validates names and ranges now, not mid-run
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +263,15 @@ def _cmd_colour(args) -> tuple[int, object]:
 
 
 def _check_dichotomy(args, g: Graph, cert) -> list[str]:
-    # each kind reads only the flags the table requires for it
+    # each kind reads only the flags the table requires for it: --s for
+    # low-degree-vertex, --ell for light-edge, --s and --t for kst-star
     return validate_certificate(g, cert, args.s, args.t, args.ell)
 
 
 # kind -> (certificate type, verify flags it needs, validator)
 CERTIFICATES = {
-    "low-degree-vertex": (LowDegreeVertex, ("s", "ell"), _check_dichotomy),
-    "light-edge": (LightEdge, ("s", "ell"), _check_dichotomy),
+    "low-degree-vertex": (LowDegreeVertex, ("s",), _check_dichotomy),
+    "light-edge": (LightEdge, ("ell",), _check_dichotomy),
     "kst-star": (KstStarEmbedding, ("s", "t"), _check_dichotomy),
     "minor-model": (
         MinorModel, ("pattern",),
@@ -393,8 +379,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         default="json", help="report format")
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="write the report here instead of stdout")
-    parser.add_argument("--cap", metavar="NAME=VALUE", action="append",
-                        default=None, help="override one oracle size cap")
 
 
 @functools.cache
@@ -476,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("edge-list", "dimacs", "json"),
                    default="edge-list", help="graph output format")
     p.add_argument("--out", metavar="FILE", default=None)
-    p.add_argument("--cap", metavar="NAME=VALUE", action="append", default=None)
     p.set_defaults(handler=_cmd_gadget)
 
     p = sub.add_parser("experiment", help="run a seeded check suite")
@@ -502,12 +485,9 @@ def _check_out_dir(path: str | None) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     target = io.StringIO() if args.out else sys.stdout
-    # --cap works by overlaying the env var; put it back afterwards so that
-    # embedding callers (and the test suite) see no lasting change
-    saved_caps = os.environ.get(caps_mod.ENV_VAR)
     try:
         _check_out_dir(args.out)
-        _apply_caps(args.cap)
+        caps_mod.current_caps()  # a bad DEFEKT_CAPS is refused before any work
         code, payload = args.handler(args)
     except (ParseError, ValidationError, CapExceededError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -520,11 +500,11 @@ def main(argv: list[str] | None = None) -> int:
             "message": str(exc),
             "witness": None if exc.witness is None else _graph_payload(exc.witness),
         }, sort_keys=True, indent=2) + "\n"
-    finally:
-        if saved_caps is None:
-            os.environ.pop(caps_mod.ENV_VAR, None)
-        else:
-            os.environ[caps_mod.ENV_VAR] = saved_caps
+    except AlgorithmError as exc:
+        # a failed self-check is a bug, neither bad input nor a structural outcome
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
+                         sort_keys=True), file=sys.stderr)
+        return INTERNAL_ERROR
     if payload is not None:
         if isinstance(payload, str):
             target.write(payload)

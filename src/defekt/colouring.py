@@ -17,7 +17,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor
-from typing import Callable, Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .bounds import n1
 from .caps import current_caps
@@ -249,23 +249,39 @@ def defective_list_colour(
 # ---------------------------------------------------------------------------
 # exhaustive oracle
 
-def _backtrack(
-    g: Graph, d: int, choices: Callable[[int, int], Iterable[int]]
-) -> list[int] | None:
-    """Colour vertices in id order with defect at most ``d``, or return None.
+def is_kd_colourable_bruteforce(
+    g: Graph, k: int, d: int
+) -> tuple[bool, ColourAssignment | None]:
+    """Exact (k,d)-colourability by exhaustive search.
 
-    ``choices(v, top)`` yields the colours vertex ``v`` tries, in order,
-    where ``top`` is the largest colour used so far (-1 before any).
-    Assignments are pruned as soon as any vertex collects more than ``d``
-    same-coloured neighbours.
+    Vertices are coloured in id order.  Colour classes are interchangeable,
+    so vertex i only ever tries colours up to one past the largest colour
+    used before it.  An assignment is pruned as soon as any vertex collects
+    more than ``d`` same-coloured neighbours.
     """
+    if k < 1:
+        raise ValidationError("need k >= 1")
+    if d < 0:
+        raise ValidationError("need d >= 0")
+    if g.n == 0:
+        return True, ()
+    if k == 1:
+        colouring = (0,) * g.n
+        return (g.max_degree() <= d, colouring if g.max_degree() <= d else None)
+    caps = current_caps()
+    cap = caps.kd_colour_k2 if k == 2 else caps.kd_colour_k3
+    if g.n > cap:
+        raise CapExceededError(
+            f"exhaustive colouring needs n <= {cap} for k = {k}, got {g.n}"
+        )
     colours: list[int | None] = [None] * g.n
     same = [0] * g.n  # same-coloured neighbours among already-coloured
 
     def assign(v: int, top: int) -> bool:
+        # top is the largest colour used so far (-1 before any)
         if v == g.n:
             return True
-        for c in choices(v, top):
+        for c in range(min(top + 1, k - 1) + 1):
             bumped = []
             cnt = 0
             ok = True
@@ -288,36 +304,9 @@ def _backtrack(
                 colours[v] = None
         return False
 
-    return colours if assign(0, -1) else None  # type: ignore[return-value]
-
-
-def is_kd_colourable_bruteforce(
-    g: Graph, k: int, d: int
-) -> tuple[bool, ColourAssignment | None]:
-    """Exact (k,d)-colourability by exhaustive search.
-
-    Colour classes are interchangeable, so vertex i only ever tries colours
-    up to one past the largest colour used before it.
-    """
-    if k < 1:
-        raise ValidationError("need k >= 1")
-    if d < 0:
-        raise ValidationError("need d >= 0")
-    if g.n == 0:
-        return True, ()
-    if k == 1:
-        colouring = (0,) * g.n
-        return (g.max_degree() <= d, colouring if g.max_degree() <= d else None)
-    caps = current_caps()
-    cap = caps.kd_colour_k2 if k == 2 else caps.kd_colour_k3
-    if g.n > cap:
-        raise CapExceededError(
-            f"exhaustive colouring needs n <= {cap} for k = {k}, got {g.n}"
-        )
-    colours = _backtrack(g, d, lambda v, top: range(min(top + 1, k - 1) + 1))
-    if colours is None:
+    if not assign(0, -1):
         return False, None
-    return True, tuple(colours)
+    return True, tuple(colours)  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ class ParseError(DefektError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 class ValidationError(DefektError):

@@ -13,16 +13,18 @@ from .errors import CapExceededError, ValidationError
 from .graphs import Graph, is_tree
 
 
-def _check_order(order: int) -> int:
-    """Return ``order``, or raise ``CapExceededError`` when a construction of
+def _check_order(count: int, what: str = "vertices") -> int:
+    """Return ``count``, or raise ``CapExceededError`` when a construction of
     that many vertices is above the ``gadget_vertices`` cap.  Every generator
-    calls this before it builds anything."""
+    calls this before it builds anything; the families with quadratically
+    many edges also call it on their edge count (``what="edges"``), against
+    the same cap."""
     cap = current_caps().gadget_vertices
-    if order > cap:
+    if count > cap:
         # a count too long to print is named by its bit length
-        shown = order if order.bit_length() <= 64 else f"over 2**{order.bit_length() - 1}"
-        raise CapExceededError(f"construction would have {shown} vertices, cap is {cap}")
-    return order
+        shown = count if count.bit_length() <= 64 else f"over 2**{count.bit_length() - 1}"
+        raise CapExceededError(f"construction would have {shown} {what}, cap is {cap}")
+    return count
 
 
 def _exponent_limit() -> int:
@@ -48,11 +50,13 @@ def cycle(n: int) -> Graph:
 
 def complete(n: int) -> Graph:
     _check_order(n)
+    _check_order(n * (n - 1) // 2, "edges")
     return Graph(n, list(combinations(range(n), 2)))
 
 
 def complete_bipartite(s: int, t: int) -> Graph:
     _check_order(s + t)
+    _check_order(s * t, "edges")
     return Graph(s + t, [(i, s + j) for i in range(s) for j in range(t)])
 
 
@@ -141,7 +145,9 @@ def gen_kst_star(s: int, t: int) -> Graph:
     """
     if s < 1 or t < 1:
         raise ValidationError("need s >= 1 and t >= 1")
-    _check_order(s + t + s * (s - 1) // 2)
+    pairs = s * (s - 1) // 2
+    _check_order(s + t + pairs)
+    _check_order(s * t + 2 * pairs, "edges")
     edges = [(i, s + j) for i in range(s) for j in range(t)]
     nxt = s + t
     for u, v in combinations(range(s), 2):

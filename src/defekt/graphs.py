@@ -163,11 +163,8 @@ def _build(n: int, rows: list[tuple[int, int, int]]) -> Graph:
     return Graph(n, [(u, v) for _, u, v in rows])
 
 
-def to_edge_list(g: Graph, header: bool = True) -> str:
-    lines = []
-    if header:
-        lines.append(f"{g.n} {g.m}")
-    lines.extend(f"{u} {v}" for u, v in g.edges())
+def to_edge_list(g: Graph) -> str:
+    lines = [f"{g.n} {g.m}", *(f"{u} {v}" for u, v in g.edges())]
     return "\n".join(lines) + "\n"
 
 

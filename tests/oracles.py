@@ -22,7 +22,6 @@ from defekt.colouring import (
     RemoveVertex,
     TreeEmbedding,
     TreeFreeOutcome,
-    _backtrack,
     validate_tree_embedding,
     verify_defective,
 )
@@ -300,7 +299,9 @@ def choosability_check_bounded_palette(
     A False answer is a genuine refutation.  A True answer only says no
     bad assignment exists within the palette; larger palettes could still
     defeat the graph.  Renaming palette colours maps list assignments to
-    equivalent ones, so the first vertex's list is pinned to {1..k}.
+    equivalent ones, so the first vertex's list is pinned to {1..k}.  Each
+    assignment is tried by plain enumeration of its colourings, so no
+    backtracker from ``defekt.colouring`` is trusted here.
     """
     if k < 1 or d < 0:
         raise ValidationError("need k >= 1 and d >= 0")
@@ -314,7 +315,7 @@ def choosability_check_bounded_palette(
     first = subsets[0]  # == (1, .., k)
     for rest in product(subsets, repeat=g.n - 1):
         lists = (first,) + rest
-        if _backtrack(g, d, lambda v, top: lists[v]) is None:
+        if not any(verify_defective(g, colours, d)[0] for colours in product(*lists)):
             return False
     return True
 

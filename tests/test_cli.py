@@ -1,5 +1,6 @@
 """End-to-end runs of the command line through ``main(argv)``."""
 
+import argparse
 import dataclasses
 import io
 import json
@@ -11,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from defekt import caps, experiments
+from defekt import caps, cli, experiments
 from defekt.cli import build_parser, main
+from defekt.errors import AlgorithmError
 
 from helpers import ladder
 
@@ -186,6 +188,7 @@ def assert_usage_error(capsys, *argv) -> str:
         ["bounds", "surface-dg", "--params", '{"genus": ' + "9" * 5000 + "}"],
         ["gadget", "binary-tree", "40"],
         ["gadget", "path", "1000000000"],
+        ["gadget", "complete", "1001"],
         ["gadget", "petersen", "--out", "{tmp}/no-such-dir/g.txt"],
         ["gadget", "petersen", "--out", "{tmp}"],
         ["bounds", "crossing-lower", "--params",
@@ -199,6 +202,7 @@ def assert_usage_error(capsys, *argv) -> str:
     ],
     ids=["bounds-string-delta", "bounds-string-s", "bounds-bool-s",
          "bounds-int-too-long", "gadget-binary-tree-over-cap", "gadget-path-over-cap",
+         "gadget-complete-over-edge-cap",
          "out-in-missing-dir", "out-is-a-dir", "bounds-precision", "experiment-override",
          "bounds-earth-moon-params", "dichotomy-size-zero", "no-c4-size-zero",
          "kell-count-negative", "no-c4-size-negative"],
@@ -238,8 +242,11 @@ def test_parse_error_quotes_a_short_prefix(tmp_path, capsys, text):
     ids=["not-json", "int-too-long", "nested-too-deep"],
 )
 def test_cap_over_malformed_env_is_usage_error(capsys, monkeypatch, env):
+    # refused on every subcommand, including those that read no cap
     monkeypatch.setenv("DEFEKT_CAPS", env)
-    assert_usage_error(capsys, "bounds", "earth-moon", "--cap", "top_grad=3")
+    for argv in (["bounds", "earth-moon"], ["gadget", "petersen"]):
+        err = assert_usage_error(capsys, *argv)
+        assert err.count("\n") == 1 and "DEFEKT_CAPS" in err
     assert os.environ["DEFEKT_CAPS"] == env
 
 
@@ -257,8 +264,8 @@ def test_malformed_colouring_is_usage_error(tmp_path, capsys, text):
 
 
 C4_FLAGS = {
-    "low-degree-vertex": ["--s", "3", "--ell", "2"],
-    "light-edge": ["--s", "2", "--ell", "2"],
+    "low-degree-vertex": ["--s", "3"],
+    "light-edge": ["--ell", "2"],
     "kst-star": ["--s", "2", "--t", "1"],
     "minor-model": ["--pattern", "K3"],
     "tree-embedding": ["--tree", "P3"],
@@ -319,6 +326,29 @@ def test_malformed_certificate_is_usage_error(tmp_path, capsys, kind, certificat
     assert_usage_error(capsys, "verify", *verify_c4(tmp_path, certificate, kind))
 
 
+@pytest.mark.parametrize(
+    "kind, certificate, needed",
+    [
+        ("low-degree-vertex", '{"kind": "low-degree-vertex", "vertex": 0, "degree": 2}',
+         "--s"),
+        ("light-edge", '{"kind": "light-edge", "edge": [0, 1], "degrees": [2, 2]}',
+         "--ell"),
+        ("kst-star", '{"kind": "kst-star", "centres": [0, 2], "outer": [1], '
+         '"pair_vertices": [[[0, 2], 3]]}', "--s and --t"),
+    ],
+    ids=["low-degree-vertex", "light-edge", "kst-star"],
+)
+def test_dichotomy_certificate_needs_only_the_flags_it_reads(
+    tmp_path, capsys, kind, certificate, needed
+):
+    argv = verify_c4(tmp_path, certificate, kind)
+    code, out = run(capsys, "verify", *argv)
+    assert code == 0
+    assert json.loads(out) == {"valid": True, "kind": kind}
+    err = assert_usage_error(capsys, "verify", *argv[:3])
+    assert err == f"error: {kind} certificates need {needed}\n"
+
+
 def test_missing_file_is_usage_error(capsys):
     assert run(capsys, "analyze", "/no/such/file")[0] == 2
 
@@ -352,26 +382,30 @@ def test_cap_override(tmp_path, capsys, monkeypatch):
     graph.write_text("".join(f"{u} {v}\n" for u, v in edges))
     pattern = tmp_path / "k3.txt"
     pattern.write_text("0 1\n1 2\n0 2\n")
-    code, _ = run(capsys, "detect", str(graph), "--minor", str(pattern),
-                  "--cap", "minor_host=12")
+    monkeypatch.setenv("DEFEKT_CAPS", '{"minor_host": 12}')
+    code, _ = run(capsys, "detect", str(graph), "--minor", str(pattern))
     assert code == 2
-    code, out = run(capsys, "detect", str(graph), "--minor", str(pattern),
-                    "--cap", "minor_host=13")
+    monkeypatch.setenv("DEFEKT_CAPS", '{"minor_host": 13}')
+    code, out = run(capsys, "detect", str(graph), "--minor", str(pattern))
     assert code == 0
     assert json.loads(out)["minor"] is not None
 
 
 def test_cap_override_bad_pairs(tmp_path, capsys, monkeypatch):
-    assert run(capsys, "bounds", "earth-moon", "--cap", "minor_host")[0] == 2
-    assert run(capsys, "bounds", "earth-moon", "--cap", "minor_host=x")[0] == 2
     graph = tmp_path / "p3.txt"
     graph.write_text("0 1\n1 2\n")
     # mad_bruteforce and choosability_vertices were cap keys once
     for name in ("bogus", "mad_bruteforce", "choosability_vertices"):
-        monkeypatch.delenv("DEFEKT_CAPS", raising=False)
-        assert_usage_error(capsys, "analyze", str(graph), "--cap", f"{name}=16")
         monkeypatch.setenv("DEFEKT_CAPS", json.dumps({name: 16}))
         assert_usage_error(capsys, "analyze", str(graph))
+    monkeypatch.setenv("DEFEKT_CAPS", '{"minor_host": "x"}')
+    assert_usage_error(capsys, "analyze", str(graph))
+    # caps have one spelling: there is no --cap option
+    monkeypatch.delenv("DEFEKT_CAPS")
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(graph), "--cap", "top_grad=3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap" in capsys.readouterr().err
 
 
 def test_every_cap_is_read():
@@ -381,6 +415,34 @@ def test_every_cap_is_read():
     unread = [f.name for f in dataclasses.fields(caps.Caps)
               if not re.search(rf"\.{f.name}\b", source)]
     assert unread == []
+
+
+def test_every_cli_option_is_read():
+    # an option that no handler reads is a flag that changes nothing
+    source = Path(cli.__file__).read_text()
+    by_table = {flag for _, flags, _ in cli.CERTIFICATES.values() for flag in flags}
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    unread = [f"{name} {action.dest}"
+              for name, parser in sub.choices.items() for action in parser._actions
+              if action.dest != "help" and action.dest not in by_table
+              and not re.search(rf"\bargs\.{action.dest}\b", source)]
+    assert unread == []
+
+
+def test_internal_fault_exits_three(tmp_path, capsys, monkeypatch):
+    def broken(g):
+        raise AlgorithmError("self-check failed")
+
+    monkeypatch.setattr(cli, "build_report", broken)
+    graph = tmp_path / "p3.txt"
+    graph.write_text("0 1\n1 2\n")
+    code = main(["analyze", str(graph)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "AlgorithmError", "message": "self-check failed"}
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -409,9 +471,9 @@ def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
     graph.write_text("".join(f"{i} {(i + 1) % 13}\n" for i in range(13)))
     pattern = tmp_path / "k3.txt"
     pattern.write_text("0 1\n1 2\n0 2\n")
-    assert run(capsys, "detect", str(graph), "--minor", str(pattern),
-               "--cap", "minor_host=12")[0] == 2
-    assert "DEFEKT_CAPS" not in os.environ
+    monkeypatch.setenv("DEFEKT_CAPS", '{"minor_host": 12}')
+    assert run(capsys, "detect", str(graph), "--minor", str(pattern))[0] == 2
+    monkeypatch.delenv("DEFEKT_CAPS")
     assert caps.current_caps() == caps.Caps()
     assert run(capsys, "detect", str(graph), "--minor", str(pattern))[0] == 0
     with pytest.raises(SystemExit):

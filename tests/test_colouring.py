@@ -5,6 +5,7 @@ exhaustive checkers in this module and are kept as regression constants.
 """
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import find, given, settings, strategies as st
@@ -179,6 +180,20 @@ def test_kd_bruteforce_caps():
         is_kd_colourable_bruteforce(gadgets.cycle(19), 2, 1)
     with pytest.raises(CapExceededError):
         is_kd_colourable_bruteforce(gadgets.cycle(13), 3, 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(min_n=0, max_n=7), st.integers(1, 3), st.integers(0, 2))
+def test_kd_bruteforce_matches_plain_enumeration(g, k, d):
+    expected = any(verify_defective(g, colours, d)[0]
+                   for colours in product(range(k), repeat=g.n))
+    ok, colours = is_kd_colourable_bruteforce(g, k, d)
+    assert ok is expected
+    if ok:
+        assert len(colours) == g.n and set(colours) <= set(range(k))
+        assert verify_defective(g, colours, d)[0]
+    else:
+        assert colours is None
 
 
 def test_choosability_frozen_star():

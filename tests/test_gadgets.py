@@ -132,16 +132,18 @@ def test_gadget_size_cap():
 
 
 # each generator with arguments whose order is exactly 10, and with the
-# smallest change that makes it 11 or more
+# smallest change that makes it 11 or more; the three families with
+# quadratically many edges are built at the largest size whose edge count
+# also fits the cap (see QUADRATIC below)
 AT_TEN_AND_OVER = [
     (gadgets.path, (10,), (11,)),
     (gadgets.cycle, (10,), (11,)),
-    (gadgets.complete, (10,), (11,)),
-    (gadgets.complete_bipartite, (4, 6), (5, 6)),
+    (gadgets.complete, (5,), (11,)),
+    (gadgets.complete_bipartite, (2, 5), (5, 6)),
     (gadgets.star, (9,), (10,)),
     (gadgets.wheel, (9,), (10,)),
     (gadgets.gen_gsn, (2, 8), (2, 9)),
-    (gadgets.gen_kst_star, (3, 4), (3, 5)),
+    (gadgets.gen_kst_star, (2, 4), (3, 5)),
     (gadgets.gen_kell_H, (3, 2), (2, 4)),
     (gadgets.complete_binary_tree, (2,), (3,)),
 ]
@@ -154,6 +156,26 @@ def test_every_generator_checks_its_order(monkeypatch, fn, at_cap, over_cap):
     monkeypatch.setenv("DEFEKT_CAPS", '{"gadget_vertices": 10}')
     assert fn(*at_cap).n <= 10
     with pytest.raises(CapExceededError, match="would have 1[1-9] vertices, cap is 10"):
+        fn(*over_cap)
+
+
+# the families whose edge count grows quadratically in their order, with
+# arguments of at most 10 vertices and exactly 10 edges, and with arguments
+# of at most 10 vertices but more than 10 edges
+QUADRATIC = [
+    (gadgets.complete, (5,), (6,)),
+    (gadgets.complete_bipartite, (2, 5), (3, 4)),
+    (gadgets.gen_kst_star, (2, 4), (3, 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, at_cap, over_cap", QUADRATIC, ids=[f.__name__ for f, _, _ in QUADRATIC]
+)
+def test_quadratic_generators_check_their_edges(monkeypatch, fn, at_cap, over_cap):
+    monkeypatch.setenv("DEFEKT_CAPS", '{"gadget_vertices": 10}')
+    assert fn(*at_cap).m == 10
+    with pytest.raises(CapExceededError, match="would have 1[1-9] edges, cap is 10"):
         fn(*over_cap)
 
 
