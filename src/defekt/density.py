@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .caps import current_caps
 from .errors import AlgorithmError, ValidationError
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph, bits_of, induced_subgraph
 from .matching import max_bipartite_matching
 
 
@@ -221,12 +221,26 @@ def top_grad_half(
 ) -> tuple[Fraction, SubdivisionWitness, str]:
     """Densest edge/vertex ratio over graphs with a (<=1)-subdivision in ``g``.
 
-    Exhaustive over branch sets with branch-and-bound: internal host edges
-    count directly, and the remaining pairs are matched to distinct outside
-    common neighbours by bipartite matching.  Above the cap the densest
-    subgraph is returned instead as a certified lower bound
-    (method "heuristic-lower-bound").  Callers that already hold the
-    ``mad_exact`` witness pass it as ``_mad_witness`` to skip recomputing it.
+    Exhaustive over branch sets S with branch-and-bound: internal host edges
+    count directly, and the remaining (missing) pairs are matched to
+    distinct outside common neighbours by bipartite matching.  A subtree is
+    cut only when no set in it can strictly beat the best ratio so far, so
+    the answer is the one an unpruned search finds.  The bounds:
+
+    - the degree-sum lemma: the value of S is at most floor(ds / 2), where
+      ds is the degree sum of S.  Each inner edge adds 2 to ds, and each
+      matched outside vertex w adds the two distinct edges uw and vw;
+    - the matching is no larger than the number of missing pairs, nor than
+      the number of outside vertices with two or more neighbours in S;
+    - an extension by j more vertices gains at most the j largest remaining
+      degrees, in edges and in ds alike.
+
+    The missing pairs and their common neighbourhoods sit on a stack along
+    the search, so a set is bounded before anything is built for it.
+    Above the cap the densest subgraph is returned instead as a certified
+    lower bound (method "heuristic-lower-bound").  Callers that already hold
+    the ``mad_exact`` witness pass it as ``_mad_witness`` to skip
+    recomputing it.
     """
     if g.n == 0:
         raise ValidationError("density of the empty graph is undefined")
@@ -234,7 +248,7 @@ def top_grad_half(
     mad_set = _mad_witness if _mad_witness is not None else mad_exact(g)[1]
     best_num = _edges_inside(g, list(mad_set))
     best_den = len(mad_set)
-    best_info: tuple[list[int], list[tuple[int, int, int]]] | None = None
+    best_info: tuple[int, list[tuple[int, int, int]]] | None = None
     if g.n > limit:
         witness = _identity_witness(g, tuple(mad_set))
         return Fraction(best_num, best_den), witness, "heuristic-lower-bound"
@@ -246,65 +260,66 @@ def top_grad_half(
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + degs[i]
+    # the missing pairs (u, v) of S, grouped by v in join order, each with
+    # masks[u] & masks[v]; a superset's list extends its ancestors'
+    pairs: list[tuple[int, int]] = []
+    common: list[int] = []
 
-    def evaluate(s_bits: list[int], s_mask: int, e_in: int) -> None:
+    def evaluate(size: int, s_mask: int, e_in: int, ds: int, two: int) -> None:
         nonlocal best_num, best_den, best_info
-        size = len(s_bits)
-        missing = [
-            (u, v)
-            for i, u in enumerate(s_bits)
-            for v in s_bits[i + 1 :]
-            if not masks[u] >> v & 1
-        ]
-        ub = e_in + min(len(missing), n - size)
-        if ub * best_den <= best_num * size:
+        matchable = min(len(pairs), (two & ~s_mask).bit_count())
+        if min(e_in + matchable, ds // 2) * best_den <= best_num * size:
             return
-        msize, match = max_bipartite_matching(
-            [masks[u] & masks[v] & ~s_mask for u, v in missing]
-        )
+        msize, match = max_bipartite_matching([c & ~s_mask for c in common])
         val = e_in + msize
         if val * best_den > best_num * size:
             best_num, best_den = val, size
-            pairs = [(u, v, w) for (u, v), w in zip(missing, match) if w != -1]
-            best_info = (list(s_bits), pairs)
+            best_info = (s_mask, [(u, v, w) for (u, v), w in zip(pairs, match) if w != -1])
 
-    def visit(s_bits: list[int], s_mask: int, e_in: int, start: int) -> None:
-        if s_bits:
-            evaluate(s_bits, s_mask, e_in)
-        size = len(s_bits)
-        # bound every extension by j more vertices: edges gained at most the
-        # j largest remaining degrees, matching at most the leftover vertices
-        feasible = False
+    def promising(size: int, e_in: int, ds: int, start: int) -> bool:
+        # bound every extension by j more vertices from ``start`` on: edges
+        # and degree sum gain at most the j largest remaining degrees, the
+        # matching at most the leftover vertices.  The bound only falls as
+        # ``start`` grows, so the first hopeless start ends a sibling loop
         for j in range(1, n - start + 1):
             gain = suffix[start] - suffix[start + j]
             tot = size + j
-            ub = min(e_in + gain + (n - tot), tot * (tot - 1) // 2)
+            ub = min(e_in + gain + (n - tot), tot * (tot - 1) // 2, (ds + gain) // 2)
             if ub * best_den > best_num * tot:
-                feasible = True
-                break
-        if not feasible:
-            return
-        for idx in range(start, n):
-            v = order[idx]
-            gained = (masks[v] & s_mask).bit_count()
-            s_bits.append(v)
-            visit(s_bits, s_mask | (1 << v), e_in + gained, idx + 1)
-            s_bits.pop()
+                return True
+        return False
 
-    visit([], 0, 0, 0)
+    def visit(size: int, s_mask: int, e_in: int, ds: int, one: int, two: int,
+              start: int) -> None:
+        if size:
+            evaluate(size, s_mask, e_in, ds, two)
+        for idx in range(start, n):
+            if not promising(size, e_in, ds, idx):
+                return
+            v = order[idx]
+            mv = masks[v]
+            base = len(pairs)
+            for u in bits_of(s_mask & ~mv):
+                pairs.append((u, v))
+                common.append(masks[u] & mv)
+            visit(size + 1, s_mask | (1 << v), e_in + (mv & s_mask).bit_count(),
+                  ds + degs[idx], one | mv, two | (one & mv), idx + 1)
+            del pairs[base:], common[base:]
+
+    visit(0, 0, 0, 0, 0, 0, 0)
 
     if best_info is None:
         witness = _identity_witness(g, tuple(mad_set))
         return Fraction(best_num, best_den), witness, "brute-force"
-    s_bits, pairs = best_info
-    branch = tuple(sorted(s_bits))
+    s_mask, routed = best_info
+    branch = tuple(bits_of(s_mask))
     pos = {v: i for i, v in enumerate(branch)}
     routes: dict[tuple[int, int], tuple[int, ...]] = {}
     for i, u in enumerate(branch):
         for v in branch[i + 1 :]:
             if masks[u] >> v & 1:
                 routes[(pos[u], pos[v])] = (u, v)
-    for u, v, w in pairs:
+    for u, v, w in routed:
         a, b = min(pos[u], pos[v]), max(pos[u], pos[v])
         routes[(a, b)] = (branch[a], w, branch[b])
     base = Graph(len(branch), routes)

@@ -55,6 +55,8 @@ def complete(n: int) -> Graph:
 
 
 def complete_bipartite(s: int, t: int) -> Graph:
+    if s < 0 or t < 0:
+        raise ValidationError("complete bipartite sides must be non-negative")
     _check_order(s + t)
     _check_order(s * t, "edges")
     return Graph(s + t, [(i, s + j) for i in range(s) for j in range(t)])

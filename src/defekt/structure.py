@@ -9,6 +9,7 @@ pure function here.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, fields
 from itertools import combinations
 from math import floor
@@ -278,7 +279,12 @@ def minor_test_bruteforce(g: Graph, h: Graph) -> MinorModel | None:
     Branch sets are grown as connected subsets in a canonical order, pattern
     vertices are placed most-constrained-first, and interchangeable pattern
     vertices (twins) are broken by forcing their branch minima to increase.
-    Exact within the caps; returns the first model found or None.
+    The pattern-degree cut drops a candidate set B when some placed set,
+    B included, has fewer free neighbours than it has pattern neighbours
+    still to place: their branch sets are disjoint, so each needs a free
+    vertex of its own beside it.  The cut drops only sets that cannot
+    extend to a model, so the answer is the first model in the canonical
+    order.  Exact within the caps; returns that model or None.
     """
     caps = current_caps()
     if g.n > caps.minor_host:
@@ -329,6 +335,17 @@ def minor_test_bruteforce(g: Graph, h: Graph) -> MinorModel | None:
             twin_prev[i] = home[-1]
             home.append(i)
 
+    # what each position needs, fixed by the placement order: the earlier
+    # positions adjacent to it, the count of its neighbours placed after
+    # it, and each earlier position with the count of its neighbours
+    # placed after this one
+    req_pos = [[pos[u] for u in h.neighbours(hv) if pos[u] < i] for i, hv in enumerate(order)]
+    later = [h.degree(hv) - len(req_pos[i]) for i, hv in enumerate(order)]
+    waiting = [
+        list(Counter(j for k in range(i + 1, q) for j in req_pos[k] if j < i).items())
+        for i in range(q)
+    ]
+
     branch = [0] * q
     nbr_cache = [0] * q  # host neighbourhood mask of each placed branch set
 
@@ -336,29 +353,33 @@ def minor_test_bruteforce(g: Graph, h: Graph) -> MinorModel | None:
     # its hot path measured ~7% slower
     def connected_subsets(root: int, allowed: int, max_size: int):
         """All connected subsets containing root with the rest in allowed,
-        each produced exactly once."""
+        each produced exactly once, with its outer neighbourhood.
 
-        def grow(cur: int, cand: int):
-            yield cur
-            if cur.bit_count() >= max_size:
-                return
-            tried = 0
-            c = cand
-            while c:
-                b = c & -c
-                c ^= b
-                v = b.bit_length() - 1
-                ncur = cur | b
-                ncand = ((cand | (masks[v] & allowed)) & ~ncur) & ~tried
-                yield from grow(ncur, ncand)
-                tried |= b
-
-        yield from grow(1 << root, masks[root] & allowed)
+        Depth first: a subset is produced, then each of its extensions by
+        one candidate, lowest first, leaving out the candidates an earlier
+        sibling extension already took.  A frame holds (subset, its size,
+        untried candidates, tried ones, union of its neighbourhoods).
+        """
+        cur = 1 << root
+        yield cur, masks[root] & ~cur
+        stack = [(cur, 1, masks[root] & allowed, 0, masks[root])]
+        while stack:
+            cur, size, cand, tried, reach = stack[-1]
+            if not cand or size >= max_size:
+                stack.pop()
+                continue
+            b = cand & -cand
+            stack[-1] = (cur, size, cand ^ b, tried | b, reach)
+            v = b.bit_length() - 1
+            ncur = cur | b
+            nreach = reach | masks[v]
+            yield ncur, nreach & ~ncur
+            stack.append((ncur, size + 1, ((cand ^ b) | (masks[v] & allowed & ~tried)) & ~ncur,
+                          0, nreach))
 
     def place(i: int, used: int) -> bool:
         if i == q:
             return True
-        hv = order[i]
         base_avail = full & ~used
         avail = base_avail
         tp = twin_prev[i]
@@ -371,16 +392,11 @@ def minor_test_bruteforce(g: Graph, h: Graph) -> MinorModel | None:
         max_size = min(avail.bit_count(), base_avail.bit_count() - remaining)
         if max_size <= 0:
             return False
-        req = [nbr_cache[pos[u]] for u in h.neighbours(hv) if pos[u] < i]
+        req = [nbr_cache[j] for j in req_pos[i]]
         root_pool = avail
         if req:
             root_pool &= req[0]
-        # adjacency needs of yet-unplaced pattern vertices: positions of
-        # already-placed neighbours, and whether hv itself is one
-        future = []
-        for f in order[i + 1 :]:
-            fplaced = [pos[u] for u in h.neighbours(f) if pos[u] < i]
-            future.append((fplaced, hv in h.neighbours(f)))
+        need = later[i]
         tried_roots = 0
         pool = root_pool
         while pool:
@@ -388,29 +404,15 @@ def minor_test_bruteforce(g: Graph, h: Graph) -> MinorModel | None:
             pool ^= b
             root = b.bit_length() - 1
             allowed = avail & ~tried_roots & ~b
-            for smask in connected_subsets(root, allowed, max_size):
+            for smask, nb in connected_subsets(root, allowed, max_size):
                 if any(not smask & r for r in req):
                     continue
-                nb = 0
-                rest = smask
-                while rest:
-                    sb = rest & -rest
-                    rest ^= sb
-                    nb |= masks[sb.bit_length() - 1]
-                nb &= ~smask
+                # the branch sets placed later are disjoint, so each needs
+                # its own free vertex beside every placed set it touches
+                if (nb & base_avail).bit_count() < need:
+                    continue
                 after = base_avail & ~smask
-                ok = True
-                for fplaced, adj_current in future:
-                    if adj_current and not after & nb:
-                        ok = False
-                        break
-                    for j in fplaced:
-                        if not after & nbr_cache[j]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
+                if any((after & nbr_cache[j]).bit_count() < c for j, c in waiting[i]):
                     continue
                 branch[i] = smask
                 nbr_cache[i] = nb

@@ -24,6 +24,7 @@ from oracles import (
     mad_bruteforce,
     mad_by_bisection,
     mad_by_edge_network,
+    top_grad_half_by_rescan,
 )
 
 
@@ -180,11 +181,33 @@ def test_top_grad_half_agrees_with_naive(g):
     assert validate_subdivision_witness(g, witness) == []
 
 
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=12))
+def test_top_grad_half_matches_plain_rescan(g):
+    # the bounds cut only what cannot win, so value and method are the
+    # unpruned search's; the routing may differ
+    value, witness, method = top_grad_half(g)
+    old_value, _, old_method = top_grad_half_by_rescan(g)
+    assert (value, method) == (old_value, old_method)
+    assert validate_subdivision_witness(g, witness) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=12))
+def test_top_grad_half_obeys_the_degree_sum_lemma(g):
+    # a branch set S scores at most half its degree sum, so at most
+    # |S| * max degree / 2
+    assert 2 * top_grad_half(g)[0] <= g.max_degree()
+
+
 def test_top_grad_known_values():
     assert top_grad_half(gadgets.complete(6))[0] == Fraction(5, 2)
     assert top_grad_half(gadgets.petersen())[0] == Fraction(3, 2)
     assert top_grad_half(gadgets.cycle(6))[0] == 1
     assert top_grad_half(gadgets.star(3))[0] == Fraction(3, 4)
+    # the densest subgraph already scores 5 = max degree / 2, so the
+    # degree-sum bound settles the search at its root (1.2 s without it)
+    assert top_grad_half(gadgets.complete_bipartite(10, 10))[0] == 5
 
 
 def test_top_grad_above_cap_degrades_to_lower_bound(monkeypatch):

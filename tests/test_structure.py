@@ -5,6 +5,7 @@ from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defekt import gadgets
 from defekt.colouring import build_peel_trace, colour_tree_free
@@ -27,6 +28,7 @@ from defekt.structure import (
 )
 
 from helpers import graphs, is_isomorphic, nonempty_graphs
+from oracles import minor_test_by_plain_search
 
 
 def test_find_light_edge():
@@ -153,6 +155,24 @@ def test_minor_search_agrees_with_naive(g, h):
     assert (model is not None) == naive_minor(g, h)
     if model is not None:
         assert validate_minor_model(g, h, model) == []
+
+
+MINOR_PATTERNS = {
+    "K4": gadgets.complete(4),
+    "K33": gadgets.complete_bipartite(3, 3),
+    "K5": gadgets.complete(5),
+    "P3": gadgets.path(3),
+    "C5+chord": Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=11), st.sampled_from(sorted(MINOR_PATTERNS)))
+def test_minor_search_matches_plain_search(g, name):
+    # the pattern-degree cut drops only subsets that cannot extend to a
+    # model, and the subset order is the same, so both find the same model
+    h = MINOR_PATTERNS[name]
+    assert minor_test_bruteforce(g, h) == minor_test_by_plain_search(g, h)
 
 
 def test_minor_known_cases():
