@@ -52,7 +52,7 @@ def _parse(raw: str | None) -> Caps:
     if unknown:
         raise ValidationError(f"{ENV_VAR} has unknown keys: {sorted(unknown)}")
     for key, value in data.items():
-        if not isinstance(value, int) or value < 0:
+        if type(value) is not int or value < 0:
             raise ValidationError(f"{ENV_VAR}[{key!r}] must be a non-negative integer")
     return Caps(**data)
 

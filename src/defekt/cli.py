@@ -109,6 +109,10 @@ def _parse_colouring(text: str, n: int) -> tuple:
             raise ValidationError(f"vertex key {key!r} is not an integer") from None
         if not 0 <= v < n:
             raise ValidationError(f"vertex {v} is out of range for n={n}")
+        if key != str(v):
+            raise ValidationError(f"vertex {v} is not keyed as {str(v)!r}")
+        if type(value) is not int:
+            raise ValidationError(f"colour of vertex {v} must be an integer")
         out[v] = value
     missing = [v for v, c in enumerate(out) if c is None]
     if missing:

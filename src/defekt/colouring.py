@@ -111,52 +111,66 @@ def build_peel_trace(g: Graph, vertex_limit: int, edge_limit: int) -> PeelTrace:
     vertex or edge stays eligible from when it becomes so until removed, and
     two heaps of eligible vertices and edges (stale edges skipped lazily)
     yield exactly those choices in O((n + m) log n).
+
+    The graph itself is never copied.  Live degrees are counters, a removed
+    vertex loses its alive flag, and an edge taken by the edge rule goes
+    into a cut set, which stays empty until that rule first runs.  A
+    vertex's live neighbours are the alive ones in its sorted neighbour
+    tuple whose edge is not cut; they are what ``RemoveVertex`` records.
+    An edge is pushed once, when its later endpoint's counter falls to
+    edge_limit (or when the heap is built), so no edge on the heap is cut:
+    an entry is stale exactly when an endpoint is dead.
     """
-    adj = g.adjacency_sets()
-    present = [True] * g.n
-    alive = g.n
+    deg = [g.degree(v) for v in g.vertices()]
+    alive = [True] * g.n
+    remaining = g.n
+    # both orientations of every edge the edge rule removed
+    cut: set[tuple[int, int]] = set()
     # ascending, so already a heap; vertices only leave it by being popped
-    vertex_heap = [v for v in range(g.n) if len(adj[v]) <= vertex_limit]
+    vertex_heap = [v for v in range(g.n) if deg[v] <= vertex_limit]
     # built when the vertex rule first runs dry, which is often never
     edge_heap: list[tuple[int, int]] | None = None
     steps: list[PeelStep] = []
 
+    def live(u: int) -> list[int]:
+        return [w for w in g.neighbours(u) if alive[w] and (u, w) not in cut]
+
     def lowered(u: int) -> None:
         # u just lost a neighbour: push what that made eligible
-        d = len(adj[u])
+        d = deg[u]
         if d == vertex_limit:
             heapq.heappush(vertex_heap, u)
         if d == edge_limit and edge_heap is not None:
-            for w in adj[u]:
-                if len(adj[w]) <= edge_limit:
+            for w in live(u):
+                if deg[w] <= edge_limit:
                     heapq.heappush(edge_heap, (min(u, w), max(u, w)))
 
-    while alive:
+    while remaining:
         if vertex_heap:
             v = heapq.heappop(vertex_heap)
-            nbrs = tuple(sorted(adj[v]))
-            adj[v].clear()
-            present[v] = False
-            alive -= 1
+            nbrs = tuple(live(v))
+            alive[v] = False
+            remaining -= 1
             for u in nbrs:
-                adj[u].discard(v)
+                deg[u] -= 1
                 lowered(u)
             steps.append(RemoveVertex(vertex=v, neighbours=nbrs))
             continue
         if edge_heap is None:
+            # no edge is cut yet, so the live neighbours are the alive ones
             edge_heap = [
                 (u, w)
                 for u in range(g.n)
-                if len(adj[u]) <= edge_limit
-                for w in adj[u]
-                if u < w and len(adj[w]) <= edge_limit
+                if alive[u] and deg[u] <= edge_limit
+                for w in g.neighbours(u)
+                if u < w and alive[w] and deg[w] <= edge_limit
             ]
             heapq.heapify(edge_heap)
-        while edge_heap and edge_heap[0][1] not in adj[edge_heap[0][0]]:
+        while edge_heap and not (alive[edge_heap[0][0]] and alive[edge_heap[0][1]]):
             heapq.heappop(edge_heap)
         if not edge_heap:
             stuck, old_ids = induced_subgraph(
-                g, [v for v in range(g.n) if present[v]]
+                g, [v for v in range(g.n) if alive[v]]
             )
             raise StructuralError(
                 "peel is stuck: no vertex of degree <= "
@@ -165,8 +179,9 @@ def build_peel_trace(g: Graph, vertex_limit: int, edge_limit: int) -> PeelTrace:
                 witness=stuck,
             )
         u, w = heapq.heappop(edge_heap)
-        adj[u].discard(w)
-        adj[w].discard(u)
+        cut.update(((u, w), (w, u)))
+        deg[u] -= 1
+        deg[w] -= 1
         lowered(u)
         lowered(w)
         steps.append(RemoveEdge(edge=(u, w)))

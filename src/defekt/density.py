@@ -138,25 +138,30 @@ def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Degeneracy and a witnessing elimination order (smallest id first on ties).
 
     Smallest-last order (Matula-Beck) from a lazy (degree, id) heap, in
-    O((n + m) log n): a vertex is re-pushed each time its degree falls, and
-    an entry is stale when its degree is no longer the vertex's (a removed
-    vertex has degree 0 and every entry left for it is higher).
+    O((n + m) log n).  Live degrees are counters over the frozen graph: a
+    removal clears the vertex's alive flag and lowers the counter of each
+    live neighbour, which is re-pushed at its new degree.  An entry is stale
+    when its degree no longer equals the vertex's counter; a removed
+    vertex's counter stays at the degree it was popped at, and every entry
+    left for it is higher.
     """
-    adj = g.adjacency_sets()
-    heap = [(len(nbrs), v) for v, nbrs in enumerate(adj)]
+    deg = [g.degree(v) for v in g.vertices()]
+    alive = [True] * g.n
+    heap = [(d, v) for v, d in enumerate(deg)]
     heapq.heapify(heap)
     order = []
     k = 0
     while heap:
         d, v = heapq.heappop(heap)
-        if d != len(adj[v]):
+        if d != deg[v]:
             continue
         k = max(k, d)
         order.append(v)
-        for u in adj[v]:
-            adj[u].discard(v)
-            heapq.heappush(heap, (len(adj[u]), u))
-        adj[v].clear()
+        alive[v] = False
+        for u in g.neighbours(v):
+            if alive[u]:
+                deg[u] -= 1
+                heapq.heappush(heap, (deg[u], u))
     return k, tuple(order)
 
 

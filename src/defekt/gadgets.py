@@ -10,7 +10,7 @@ from itertools import combinations
 
 from .caps import current_caps
 from .errors import CapExceededError, ValidationError
-from .graphs import Graph, is_tree
+from .graphs import Graph
 
 
 def _check_order(count: int, what: str = "vertices") -> int:
@@ -158,36 +158,6 @@ def gen_kst_star(s: int, t: int) -> Graph:
     return Graph(nxt, edges)
 
 
-def le_k_subdivision(g: Graph, lengths) -> Graph:
-    """Subdivide each edge of ``g`` the given number of times (0..k).
-
-    ``lengths`` is either a single int applied to every edge or a mapping
-    from sorted edge pairs to ints.  Original vertices keep their ids;
-    division vertices are appended in edge order.
-    """
-    edge_list = list(g.edges())
-    if isinstance(lengths, int):
-        table = {e: lengths for e in edge_list}
-    else:
-        table = {(min(u, v), max(u, v)): c for (u, v), c in lengths.items()}
-        missing = [e for e in edge_list if e not in table]
-        if missing:
-            raise ValidationError(f"no subdivision count for edges {missing[:5]}")
-    new_edges: list[tuple[int, int]] = []
-    nxt = g.n
-    for u, v in edge_list:
-        c = table[(u, v)]
-        if c < 0:
-            raise ValidationError(f"negative subdivision count on ({u},{v})")
-        prev = u
-        for _ in range(c):
-            new_edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-        new_edges.append((prev, v))
-    return Graph(nxt, new_edges)
-
-
 def gen_kell_H(ell: int, k: int) -> Graph:
     """A dominant vertex joined to ell disjoint stars, each with k leaves.
 
@@ -216,24 +186,3 @@ def complete_binary_tree(radius: int) -> Graph:
     n = _check_order(2 ** (min(radius, _exponent_limit()) + 1) - 1)
     return Graph(n, [(v, (v - 1) // 2) for v in range(1, n)])
 
-
-def tree_closure(tree: Graph, root: int) -> Graph:
-    """Join every vertex of a rooted tree to all its ancestors."""
-    if not is_tree(tree):
-        raise ValidationError("closure input must be a tree")
-    if not (0 <= root < tree.n):
-        raise ValidationError(f"root {root} not in tree of order {tree.n}")
-    parent = {root: None}
-    order = [root]
-    for u in order:
-        for v in tree.neighbours(u):
-            if v not in parent:
-                parent[v] = u
-                order.append(v)
-    edges = set(tree.edges())
-    for v in tree.vertices():
-        a = parent[v]
-        while a is not None:
-            edges.add((min(v, a), max(v, a)))
-            a = parent[a]
-    return Graph(tree.n, sorted(edges))

@@ -90,10 +90,6 @@ class Graph:
             self._masks = tuple(out)
         return self._masks
 
-    def adjacency_sets(self) -> list[set[int]]:
-        """A fresh mutable copy of the adjacency, for peel-style algorithms."""
-        return [set(nbrs) for nbrs in self._adj]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)

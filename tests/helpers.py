@@ -52,7 +52,7 @@ def planar_min_degree_3(n: int, seed: int) -> Graph:
     deletions that never drop an endpoint below degree 4 beforehand."""
     g = apollonian(n, seed)
     rng = random.Random(seed ^ 0x5EED)
-    adj = g.adjacency_sets()
+    adj = [set(g.neighbours(v)) for v in g.vertices()]
     edges = list(g.edges())
     rng.shuffle(edges)
     removed = 0
@@ -64,6 +64,24 @@ def planar_min_degree_3(n: int, seed: int) -> Graph:
             adj[v].discard(u)
             removed += 1
     return Graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
+
+
+def tree_closure(tree: Graph, root: int) -> Graph:
+    """Join every vertex of a rooted tree to all its ancestors."""
+    parent = {root: None}
+    order = [root]
+    for u in order:
+        for v in tree.neighbours(u):
+            if v not in parent:
+                parent[v] = u
+                order.append(v)
+    edges = set(tree.edges())
+    for v in tree.vertices():
+        a = parent[v]
+        while a is not None:
+            edges.add((min(v, a), max(v, a)))
+            a = parent[a]
+    return Graph(tree.n, sorted(edges))
 
 
 def isomorphism(g: Graph, h: Graph) -> list[int] | None:

@@ -44,7 +44,7 @@ from defekt.structure import MinorModel
 
 def peel_by_rescan(g: Graph, vertex_limit: int, edge_limit: int) -> PeelTrace:
     """Rescan every vertex, then every edge, for the next removal."""
-    adj = g.adjacency_sets()
+    adj = [set(g.neighbours(v)) for v in g.vertices()]
     present = [True] * g.n
     alive = g.n
     steps = []
@@ -94,7 +94,7 @@ def peel_by_rescan(g: Graph, vertex_limit: int, edge_limit: int) -> PeelTrace:
 def replay_forward_check(g: Graph, trace: PeelTrace) -> bool:
     """True iff applying the trace to ``g`` deletes every vertex and edge
     exactly once, each step's recorded neighbours matching the live ones."""
-    adj = g.adjacency_sets()
+    adj = [set(g.neighbours(v)) for v in g.vertices()]
     present = [True] * g.n
     for step in trace.steps:
         if isinstance(step, RemoveVertex):
@@ -116,7 +116,7 @@ def replay_forward_check(g: Graph, trace: PeelTrace) -> bool:
 
 def degeneracy_by_min(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Remove the live vertex of least (degree, id), one ``min`` per step."""
-    adj = g.adjacency_sets()
+    adj = [set(g.neighbours(v)) for v in g.vertices()]
     alive = set(range(g.n))
     order = []
     k = 0
@@ -334,7 +334,7 @@ def choosability_check_bounded_palette(
 
 def tree_centre_radius(t: Graph) -> tuple[int, int]:
     # iterated leaf stripping leaves one or two centre vertices
-    adj = t.adjacency_sets()
+    adj = [set(t.neighbours(v)) for v in t.vertices()]
     alive = set(t.vertices())
     while len(alive) > 2:
         leaves = [v for v in alive if len(adj[v]) <= 1]

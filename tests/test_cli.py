@@ -242,8 +242,9 @@ def test_parse_error_quotes_a_short_prefix(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize(
-    "env", ["{", '{"top_grad": ' + "9" * 5000 + "}", "[" * 100_000],
-    ids=["not-json", "int-too-long", "nested-too-deep"],
+    "env",
+    ["{", '{"top_grad": ' + "9" * 5000 + "}", "[" * 100_000, '{"minor_host": true}'],
+    ids=["not-json", "int-too-long", "nested-too-deep", "bool-value"],
 )
 def test_cap_over_malformed_env_is_usage_error(capsys, monkeypatch, env):
     # refused on every subcommand, including those that read no cap
@@ -255,16 +256,25 @@ def test_cap_over_malformed_env_is_usage_error(capsys, monkeypatch, env):
 
 
 @pytest.mark.parametrize(
-    "text", ['{"0": ' + "9" * 5000 + ', "1": 2}', "[" * 100_000],
-    ids=["int-too-long", "nested-too-deep"],
+    "text, message",
+    [
+        ('{"0": ' + "9" * 5000 + ', "1": 2}', "not valid JSON"),
+        ("[" * 100_000, "not valid JSON"),
+        ('{"0": 1, "00": 2, "1": 2}', "vertex 0 is not keyed as '0'"),
+        ('{"0": true, "1": 1}', "colour of vertex 0 must be an integer"),
+        ('{"0": "a", "1": "b"}', "colour of vertex 0 must be an integer"),
+    ],
+    ids=["int-too-long", "nested-too-deep", "non-canonical-key", "bool-colour",
+         "string-colour"],
 )
-def test_malformed_colouring_is_usage_error(tmp_path, capsys, text):
+def test_malformed_colouring_is_usage_error(tmp_path, capsys, text, message):
     graph = tmp_path / "g.txt"
     graph.write_text("0 1\n")
     colouring = tmp_path / "c.json"
     colouring.write_text(text)
-    assert_usage_error(capsys, "verify", str(graph), "--colouring", str(colouring),
-                       "--defect", "0")
+    err = assert_usage_error(capsys, "verify", str(graph), "--colouring", str(colouring),
+                             "--defect", "0")
+    assert message in err
 
 
 C4_FLAGS = {

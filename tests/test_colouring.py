@@ -5,6 +5,7 @@ exhaustive checkers in this module and are kept as regression constants.
 """
 
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -22,6 +23,7 @@ from defekt.colouring import (
     validate_tree_embedding,
     verify_defective,
 )
+from defekt.density import degeneracy
 from defekt.errors import (
     CapExceededError,
     StructuralError,
@@ -109,6 +111,22 @@ def test_peel_heaps_match_rescan_oracle(g, vertex_limit, edge_limit):
 def test_peel_heaps_match_rescan_oracle_on_larger_graphs(g, vertex_limit, edge_limit):
     fast = _peel_outcome(build_peel_trace, g, vertex_limit, edge_limit)
     assert fast == _peel_outcome(peel_by_rescan, g, vertex_limit, edge_limit)
+
+
+@pytest.mark.parametrize(
+    "peel", [degeneracy, lambda g: build_peel_trace(g, 3, 9)], ids=["degeneracy", "trace"]
+)
+def test_peels_copy_no_adjacency(peel):
+    # counters over the frozen graph peak at about 3.5 MiB here; a list of
+    # n mutable neighbour sets took it past 8 MiB
+    g = corpus.apollonian(16000, 1)
+    tracemalloc.start()
+    try:
+        peel(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 def test_list_colour_on_trees_is_proper():

@@ -7,7 +7,7 @@ from defekt import corpus, gadgets
 from defekt.errors import CapExceededError, ValidationError
 from defekt.graphs import is_tree
 
-from helpers import is_isomorphic
+from helpers import is_isomorphic, tree_closure
 
 
 def test_basic_shapes():
@@ -63,7 +63,7 @@ def test_gsn_is_the_ancestor_closure_of_a_uniform_tree(s, big_n):
     from defekt.graphs import Graph
 
     tree = Graph(nxt, edges)
-    assert is_isomorphic(g, gadgets.tree_closure(tree, 0))
+    assert is_isomorphic(g, tree_closure(tree, 0))
 
 
 def test_gsn_min_degree_is_s_minus_one():
@@ -98,32 +98,11 @@ def test_kell_pattern_shape():
         gadgets.gen_kell_H(2, 0)
 
 
-def test_exact_one_subdivision():
-    c3 = gadgets.cycle(3)
-    assert is_isomorphic(gadgets.le_k_subdivision(c3, 1), gadgets.cycle(6))
-
-
-def test_le_k_subdivision_lengths():
-    p2 = gadgets.path(2)
-    assert is_isomorphic(gadgets.le_k_subdivision(p2, 3), gadgets.path(5))
-    mixed = gadgets.le_k_subdivision(gadgets.path(3), {(0, 1): 2, (1, 2): 0})
-    assert is_isomorphic(mixed, gadgets.path(5))
-    with pytest.raises(ValidationError):
-        gadgets.le_k_subdivision(gadgets.path(3), {(0, 1): 2})
-    with pytest.raises(ValidationError):
-        gadgets.le_k_subdivision(p2, -1)
-
-
 def test_complete_binary_tree():
     for radius in range(4):
         t = gadgets.complete_binary_tree(radius)
         assert t.n == 2 ** (radius + 1) - 1
         assert is_tree(t)
-
-
-def test_tree_closure_requires_tree():
-    with pytest.raises(ValidationError):
-        gadgets.tree_closure(gadgets.cycle(4), 0)
 
 
 def test_gadget_size_cap():
