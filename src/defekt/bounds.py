@@ -8,14 +8,14 @@ report writers can name what they evaluated.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor
-from typing import NamedTuple, get_type_hints
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .rationals import Enclosure, exact, sqrt_enclosure
+from .wire import decode
 
 
 def _fr(x) -> Fraction:
@@ -216,15 +216,6 @@ def earth_moon_table() -> list[dict]:
     return rows
 
 
-#: Reference (colours, defect) pairs for two embeddability-constrained
-#: classes.  The density parameters behind them are not reconstructed here,
-#: so they are regression constants, not derived values.
-RECORDED_CHOOSABILITY = {
-    "linkless-embeddable": (4, 440),
-    "knotless-embeddable": (5, 660),
-}
-
-
 # ---------------------------------------------------------------------------
 # registry
 
@@ -233,31 +224,6 @@ class BoundResult:
     formula_id: str
     params: dict
     value: object
-
-    def to_payload(self) -> dict:
-        return {
-            "formula_id": self.formula_id,
-            "params": {k: _serialize(v) for k, v in self.params.items()},
-            "value": _serialize(self.value),
-        }
-
-
-def _serialize(v):
-    if isinstance(v, Enclosure):
-        return v.to_payload()
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, ParamBundle):
-        return {
-            "s": v.s,
-            "t": v.t,
-            "delta": str(v.delta),
-            "delta1": str(v.delta1),
-            "defect": v.defect,
-        }
-    if isinstance(v, tuple):
-        return [_serialize(x) for x in v]
-    return v
 
 
 FORMULAS = {
@@ -278,7 +244,7 @@ FORMULAS = {
 }
 
 
-def evaluate(formula_id: str, **params) -> BoundResult:
+def evaluate(formula_id: str, /, **params) -> BoundResult:
     """Evaluate a registered formula by id.
 
     Unknown ids, missing or unexpected parameters, a non-int (or bool) value
@@ -287,20 +253,5 @@ def evaluate(formula_id: str, **params) -> BoundResult:
     """
     if formula_id not in FORMULAS:
         raise ValidationError(f"unknown formula {formula_id!r}")
-    fn = FORMULAS[formula_id]
-    names = tuple(inspect.signature(fn).parameters)
-    missing = [p for p in names if p not in params]
-    extra = [p for p in params if p not in names]
-    if missing or extra:
-        raise ValidationError(
-            f"{formula_id} expects parameters {list(names)}; "
-            f"missing {missing}, unexpected {extra}"
-        )
-    hints = get_type_hints(fn)
-    for name in names:
-        if hints.get(name) is int and type(params[name]) is not int:
-            raise ValidationError(
-                f"{formula_id} parameter {name!r} must be an integer, got {params[name]!r}"
-            )
-    value = fn(**params)
+    value = decode(FORMULAS[formula_id], params, formula_id)
     return BoundResult(formula_id=formula_id, params=dict(params), value=value)

@@ -13,11 +13,11 @@ keys rejected), the only place caps are set.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 from functools import lru_cache
 
 from .errors import ValidationError
+from .wire import decode, read_object
 
 ENV_VAR = "DEFEKT_CAPS"
 
@@ -34,27 +34,15 @@ class Caps:
     gadget_vertices: int = 500_000
 
 
-_FIELDS = {f.name for f in dataclasses.fields(Caps)}
-
-
 @lru_cache(maxsize=8)
 def _parse(raw: str | None) -> Caps:
     if not raw:
         return Caps()
-    try:
-        data = json.loads(raw)
-    # ValueError also covers an integer too long to convert
-    except (ValueError, RecursionError) as exc:
-        raise ValidationError(f"{ENV_VAR} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ValidationError(f"{ENV_VAR} must be a JSON object")
-    unknown = set(data) - _FIELDS
-    if unknown:
-        raise ValidationError(f"{ENV_VAR} has unknown keys: {sorted(unknown)}")
-    for key, value in data.items():
-        if type(value) is not int or value < 0:
-            raise ValidationError(f"{ENV_VAR}[{key!r}] must be a non-negative integer")
-    return Caps(**data)
+    caps = decode(Caps, read_object(raw, ENV_VAR), ENV_VAR)
+    for key, value in vars(caps).items():
+        if value < 0:
+            raise ValidationError(f"{ENV_VAR}: {key} must be non-negative")
+    return caps
 
 
 def current_caps() -> Caps:

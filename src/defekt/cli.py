@@ -44,7 +44,7 @@ from .errors import (
     ValidationError,
 )
 from .experiments import EXPERIMENTS, run_experiment
-from .graphs import Graph, sniff, to_dimacs, to_edge_list, to_json
+from .graphs import Graph, _quote, sniff, to_dimacs, to_edge_list, to_json
 from .structure import (
     KstStarEmbedding,
     LightEdge,
@@ -58,6 +58,7 @@ from .structure import (
     validate_minor_model,
     vertex_cover_number,
 )
+from .wire import decode, encode, read_object
 
 USAGE_ERROR = 2
 STRUCTURAL_ERROR = 1
@@ -89,26 +90,15 @@ def _colour_map(colours) -> dict:
     return {str(v): c for v, c in enumerate(colours)}
 
 
-def _json_object(text: str, what: str) -> dict:
-    try:
-        data = json.loads(text)
-    # ValueError also covers an integer too long to convert
-    except (ValueError, RecursionError) as exc:
-        raise ValidationError(f"{what} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ValidationError(f"{what} must be a JSON object")
-    return data
-
-
 def _parse_colouring(text: str, n: int) -> tuple:
     out = [None] * n
-    for key, value in _json_object(text, "colouring").items():
+    for key, value in read_object(text, "colouring").items():
         try:
             v = int(key)
         except ValueError:
-            raise ValidationError(f"vertex key {key!r} is not an integer") from None
+            raise ValidationError(f"vertex key {_quote(key)} is not an integer") from None
         if not 0 <= v < n:
-            raise ValidationError(f"vertex {v} is out of range for n={n}")
+            raise ValidationError(f"vertex {_quote(key)} is out of range for n={n}")
         if key != str(v):
             raise ValidationError(f"vertex {v} is not keyed as {str(v)!r}")
         if type(value) is not int:
@@ -174,7 +164,7 @@ def _emit_payload(payload, fmt: str, out) -> None:
 
 def _cmd_analyze(args) -> tuple[int, object]:
     g = _load_graph(args.graph)
-    return 0, build_report(g).to_payload()
+    return 0, build_report(g)
 
 
 def _cmd_detect(args) -> tuple[int, object]:
@@ -184,31 +174,24 @@ def _cmd_detect(args) -> tuple[int, object]:
     if args.kst_star is not None:
         requested = True
         s, t = args.kst_star
-        emb = find_kst_star(g, s, t)
-        payload["kst-star"] = emb.to_payload() if emb else None
+        payload["kst-star"] = find_kst_star(g, s, t)
     if args.light_edge is not None:
         requested = True
-        edge = find_light_edge(g, args.light_edge)
-        payload["light-edge"] = list(edge) if edge else None
+        payload["light-edge"] = find_light_edge(g, args.light_edge)
     if args.minor is not None:
         requested = True
         pattern = _load_graph(args.minor)
-        model = minor_test_bruteforce(g, pattern)
-        payload["minor"] = model.to_payload() if model else None
+        payload["minor"] = minor_test_bruteforce(g, pattern)
     if args.tau:
         requested = True
         value, cover = vertex_cover_number(g)
-        payload["tau"] = {"value": value, "cover": list(cover)}
+        payload["tau"] = {"value": value, "cover": cover}
     if args.treedepth:
         requested = True
         payload["treedepth"] = tree_depth(g)
     if not requested:
         raise ValidationError("detect needs at least one search flag")
     return 0, payload
-
-
-def _trace_payload(g: Graph, vertex_limit: int, edge_limit: int) -> list[dict]:
-    return [step.to_payload() for step in build_peel_trace(g, vertex_limit, edge_limit).steps]
 
 
 def _cmd_colour(args) -> tuple[int, object]:
@@ -224,7 +207,7 @@ def _cmd_colour(args) -> tuple[int, object]:
             "defect_bound": args.ell - args.k,
         }
         if args.trace:
-            payload["trace"] = _trace_payload(g, args.k, args.ell)
+            payload["trace"] = build_peel_trace(g, args.k, args.ell).steps
         return 0, payload
     if args.mode == "kell":
         if args.k is None or args.ell is None:
@@ -235,7 +218,7 @@ def _cmd_colour(args) -> tuple[int, object]:
             payload["colours"] = _colour_map(res.colours)
             payload["defect_bound"] = res.defect_bound
         else:
-            payload["minor_model"] = res.minor_model.to_payload()
+            payload["minor_model"] = res.minor_model
         return 0, payload
     if args.mode == "treefree":
         if args.tree is None:
@@ -250,19 +233,19 @@ def _cmd_colour(args) -> tuple[int, object]:
         if outcome.colours is not None:
             payload["colours"] = _colour_map(outcome.colours)
         else:
-            payload["embedding"] = outcome.embedding.to_payload()
+            payload["embedding"] = outcome.embedding
         return 0, payload
     if args.limit is None:
         raise ValidationError("partition mode needs --limit")
     forest, bounded = edge_partition_forest_bounded(g, args.limit)
     payload = {
         "mode": "partition",
-        "forest": [list(e) for e in forest],
-        "bounded": [list(e) for e in bounded],
+        "forest": forest,
+        "bounded": bounded,
         "degree_bound": args.limit - 1,
     }
     if args.trace:
-        payload["trace"] = _trace_payload(g, 1, args.limit)
+        payload["trace"] = build_peel_trace(g, 1, args.limit).steps
     return 0, payload
 
 
@@ -289,8 +272,8 @@ CERTIFICATES = {
 
 
 def _verify_certificate(args, g: Graph) -> tuple[int, object]:
-    data = _json_object(_read_text(args.certificate), "certificate")
-    kind = data.get("kind")
+    data = read_object(_read_text(args.certificate), "certificate")
+    kind = data.pop("kind", None)
     if not isinstance(kind, str) or kind not in CERTIFICATES:
         raise ValidationError(
             f"unknown certificate kind {kind!r}; choose from {sorted(CERTIFICATES)}"
@@ -299,7 +282,7 @@ def _verify_certificate(args, g: Graph) -> tuple[int, object]:
     if any(getattr(args, flag) is None for flag in flags):
         needed = " and ".join(f"--{flag}" for flag in flags)
         raise ValidationError(f"{kind} certificates need {needed}")
-    problems = check(args, g, cls.from_payload(data))
+    problems = check(args, g, decode(cls, data, f"{kind} certificate"))
     if problems:
         return STRUCTURAL_ERROR, {"valid": False, "kind": kind, "problems": problems}
     return 0, {"valid": True, "kind": kind}
@@ -335,8 +318,8 @@ def _cmd_bounds(args) -> tuple[int, object]:
         if args.params is not None:
             raise ValidationError("earth-moon takes no --params")
         return 0, earth_moon_table()
-    params = _json_object(args.params, "--params") if args.params else {}
-    return 0, evaluate(args.formula, **params).to_payload()
+    params = read_object(args.params, "--params") if args.params else {}
+    return 0, evaluate(args.formula, **params)
 
 
 GADGETS: dict[str, tuple] = {
@@ -493,6 +476,7 @@ def main(argv: list[str] | None = None) -> int:
         _check_out_dir(args.out)
         caps_mod.current_caps()  # a bad DEFEKT_CAPS is refused before any work
         code, payload = args.handler(args)
+        payload = encode(payload)
     except (ParseError, ValidationError, CapExceededError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

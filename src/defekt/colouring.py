@@ -33,7 +33,7 @@ from .gadgets import gen_kell_H
 from .graphs import (
     Graph, bits_of, connected_components, contract_components, induced_subgraph, is_tree,
 )
-from .structure import Certificate, MinorModel, minor_test_bruteforce, validate_minor_model
+from .structure import MinorModel, minor_test_bruteforce, validate_minor_model
 
 ColourAssignment = tuple[int, ...]
 ListAssignment = Sequence[Sequence[int]]
@@ -68,7 +68,7 @@ def verify_defective(
 # peel traces
 
 @dataclass(frozen=True)
-class RemoveVertex(Certificate):
+class RemoveVertex:
     """A vertex deleted while its degree was at most the vertex threshold.
 
     ``neighbours`` records the adjacency at removal time; edges to vertices
@@ -82,7 +82,7 @@ class RemoveVertex(Certificate):
 
 
 @dataclass(frozen=True)
-class RemoveEdge(Certificate):
+class RemoveEdge:
     """An edge deleted while both endpoint degrees were at most the edge
     threshold."""
 
@@ -328,7 +328,7 @@ def is_kd_colourable_bruteforce(
 # colouring graphs that exclude a fixed tree
 
 @dataclass(frozen=True)
-class TreeEmbedding(Certificate):
+class TreeEmbedding:
     """Injective map of a tree's vertices onto host vertices, edge for edge."""
 
     mapping: tuple[int, ...]

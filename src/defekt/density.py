@@ -347,15 +347,6 @@ class DensityReport:
     top_grad_half: Fraction
     top_grad_method: str
 
-    def to_payload(self) -> dict:
-        return {
-            "mad": str(self.mad),
-            "mad_witness": list(self.mad_witness),
-            "degeneracy": self.degeneracy,
-            "top_grad_half": str(self.top_grad_half),
-            "top_grad_method": self.top_grad_method,
-        }
-
 
 def build_report(g: Graph) -> DensityReport:
     mad, wit = mad_exact(g)

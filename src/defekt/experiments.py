@@ -9,7 +9,6 @@ fixed seed yields byte-identical reports.
 
 from __future__ import annotations
 
-import inspect
 from fractions import Fraction
 from typing import Callable
 
@@ -35,6 +34,7 @@ from .structure import (
     validate_certificate,
     validate_minor_model,
 )
+from .wire import decode
 
 CLAIMS = {
     "gsn-forces-colours": "the recursive star family admits no colouring "
@@ -347,12 +347,8 @@ def run_experiment(name: str, seed: int = 0, **overrides) -> list[dict]:
         raise ValidationError(
             f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"
         )
-    fn = EXPERIMENTS[name]
     kwargs = {k: v for k, v in overrides.items() if v is not None}
-    unknown = sorted(set(kwargs) - set(inspect.signature(fn).parameters))
-    if unknown:
-        raise ValidationError(f"experiment {name!r} does not take {', '.join(unknown)}")
     for key, value in kwargs.items():
         if value <= 0:
             raise ValidationError(f"{key} must be positive, got {value}")
-    return fn(seed=seed, **kwargs)
+    return decode(EXPERIMENTS[name], {"seed": seed, **kwargs}, f"experiment {name!r}")

@@ -105,11 +105,6 @@ class Enclosure:
         o = _as_enclosure(other)
         return Enclosure(max(self.lo, o.lo), max(self.hi, o.hi))
 
-    def to_payload(self) -> dict:
-        if self.is_exact:
-            return {"exact": str(self.lo)}
-        return {"lo": str(self.lo), "hi": str(self.hi)}
-
     def __str__(self):
         if self.is_exact:
             return str(self.lo)

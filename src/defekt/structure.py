@@ -10,10 +10,9 @@ pure function here.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import combinations
 from math import floor
-from typing import ClassVar, get_args, get_type_hints
 
 from .bounds import n1
 from .caps import current_caps
@@ -23,65 +22,10 @@ from .matching import max_bipartite_matching
 
 
 # ---------------------------------------------------------------------------
-# certificate types
-
-class Certificate:
-    """Base of every certificate dataclass; owns the JSON wire format.
-
-    A payload is ``kind`` plus one entry per dataclass field, with tuples
-    written as lists.  ``from_payload`` reads a payload back, checking each
-    value against its field's annotation (``int`` or a fixed- or
-    variable-length ``tuple`` of those) so malformed input raises
-    ``ValidationError`` instead of reaching the validators.
-    """
-
-    kind: ClassVar[str]
-
-    def to_payload(self) -> dict:
-        payload = {"kind": self.kind}
-        for f in fields(self):
-            payload[f.name] = _to_json(getattr(self, f.name))
-        return payload
-
-    @classmethod
-    def from_payload(cls, data: object):
-        if not isinstance(data, dict):
-            raise ValidationError(f"{cls.kind} certificate must be a JSON object")
-        if data.get("kind") != cls.kind:
-            raise ValidationError(f"expected kind {cls.kind!r}, got {data.get('kind')!r}")
-        hints = get_type_hints(cls)
-        values = {}
-        for f in fields(cls):
-            if f.name not in data:
-                raise ValidationError(f"{cls.kind} certificate misses {f.name!r}")
-            values[f.name] = _from_json(data[f.name], hints[f.name], f.name)
-        return cls(**values)
-
-
-def _to_json(value):
-    if isinstance(value, tuple):
-        return [_to_json(x) for x in value]
-    return value
-
-
-def _from_json(value, annotation, where: str):
-    if annotation is int:
-        # bool is an int subclass, but true is not a vertex
-        if type(value) is not int:
-            raise ValidationError(f"{where} must be an integer, got {value!r}")
-        return value
-    if not isinstance(value, list):
-        raise ValidationError(f"{where} must be a list, got {value!r}")
-    args = get_args(annotation)
-    if len(args) == 2 and args[1] is Ellipsis:
-        args = (args[0],) * len(value)
-    elif len(value) != len(args):
-        raise ValidationError(f"{where} must have {len(args)} entries, got {len(value)}")
-    return tuple(_from_json(x, a, where) for x, a in zip(value, args))
-
+# certificate types: ``kind`` names each on the wire (see defekt.wire)
 
 @dataclass(frozen=True)
-class LowDegreeVertex(Certificate):
+class LowDegreeVertex:
     vertex: int
     degree: int
 
@@ -89,7 +33,7 @@ class LowDegreeVertex(Certificate):
 
 
 @dataclass(frozen=True)
-class LightEdge(Certificate):
+class LightEdge:
     edge: tuple[int, int]
     degrees: tuple[int, int]
 
@@ -97,7 +41,7 @@ class LightEdge(Certificate):
 
 
 @dataclass(frozen=True)
-class KstStarEmbedding(Certificate):
+class KstStarEmbedding:
     """K_{s,t} plus one private common neighbour per pair of the s-side.
 
     ``centres`` is the s-side, ``outer`` the t vertices adjacent to every
@@ -116,7 +60,7 @@ DichotomyCertificate = LowDegreeVertex | LightEdge | KstStarEmbedding
 
 
 @dataclass(frozen=True)
-class MinorModel(Certificate):
+class MinorModel:
     """Disjoint connected branch sets indexed by pattern vertex."""
 
     branch_sets: tuple[tuple[int, ...], ...]

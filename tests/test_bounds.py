@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from defekt import gadgets
 from defekt.bounds import (
     FORMULAS,
-    RECORDED_CHOOSABILITY,
     dg,
     earth_moon_table,
     evaluate,
@@ -20,6 +19,7 @@ from defekt.bounds import (
 )
 from defekt.errors import ValidationError
 from defekt.structure import hfree_bounds
+from defekt.wire import encode
 
 
 def test_n1_base_cases():
@@ -86,11 +86,6 @@ def test_genus_thickness_colour_params():
         genus_thickness_colour_params(0, 0)
 
 
-def test_recorded_choosability_constants():
-    assert RECORDED_CHOOSABILITY["linkless-embeddable"] == (4, 440)
-    assert RECORDED_CHOOSABILITY["knotless-embeddable"] == (5, 660)
-
-
 def test_surface_bounds_planar_case():
     # d_0 = max(3, 6/4) = 3 edges per vertex
     assert dg(0).value == 3
@@ -141,7 +136,7 @@ def test_evaluate_registry_smoke():
     }
     assert set(samples) == set(FORMULAS)
     for formula_id, params in samples.items():
-        payload = evaluate(formula_id, **params).to_payload()
+        payload = encode(evaluate(formula_id, **params))
         assert payload["formula_id"] == formula_id
         assert "value" in payload
 

@@ -202,6 +202,8 @@ def assert_usage_error(capsys, *argv) -> str:
         ["experiment", "no-c4-planar", "--size", "0"],
         ["experiment", "kell-smoke", "--count", "-3"],
         ["experiment", "no-c4-planar", "--size", "-1"],
+        ["bounds", "n1", "--params",
+         '{"formula_id": "n1", "s": 2, "t": 2, "delta": 1, "delta1": 1}'],
     ],
     ids=["bounds-string-delta", "bounds-string-s", "bounds-bool-s",
          "bounds-int-too-long", "gadget-binary-tree-over-cap", "gadget-path-over-cap",
@@ -209,7 +211,7 @@ def assert_usage_error(capsys, *argv) -> str:
          "gadget-star-negative",
          "out-in-missing-dir", "out-is-a-dir", "bounds-precision", "experiment-override",
          "bounds-earth-moon-params", "dichotomy-size-zero", "no-c4-size-zero",
-         "kell-count-negative", "no-c4-size-negative"],
+         "kell-count-negative", "no-c4-size-negative", "bounds-formula-id-param"],
 )
 def test_bad_argument_is_usage_error(tmp_path, capsys, argv):
     assert_usage_error(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
@@ -243,8 +245,10 @@ def test_parse_error_quotes_a_short_prefix(tmp_path, capsys, text):
 
 @pytest.mark.parametrize(
     "env",
-    ["{", '{"top_grad": ' + "9" * 5000 + "}", "[" * 100_000, '{"minor_host": true}'],
-    ids=["not-json", "int-too-long", "nested-too-deep", "bool-value"],
+    ["{", '{"top_grad": ' + "9" * 5000 + "}", "[" * 100_000, '{"minor_host": true}',
+     '{"minor_host": -1}', '{"a\\nb": 1}'],
+    ids=["not-json", "int-too-long", "nested-too-deep", "bool-value", "negative-value",
+         "line-break-key"],
 )
 def test_cap_over_malformed_env_is_usage_error(capsys, monkeypatch, env):
     # refused on every subcommand, including those that read no cap
@@ -275,6 +279,22 @@ def test_malformed_colouring_is_usage_error(tmp_path, capsys, text, message):
     err = assert_usage_error(capsys, "verify", str(graph), "--colouring", str(colouring),
                              "--defect", "0")
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "digits, message",
+    [(4000, "is out of range for n=2"), (5000, "is not an integer")],
+)
+def test_long_colouring_key_is_quoted_short(tmp_path, capsys, digits, message):
+    # 5,000 digits is past int()'s default limit of 4,300
+    graph = tmp_path / "g.txt"
+    graph.write_text("0 1\n")
+    colouring = tmp_path / "c.json"
+    colouring.write_text('{"' + "9" * digits + '": 1}')
+    err = assert_usage_error(capsys, "verify", str(graph), "--colouring", str(colouring),
+                             "--defect", "0")
+    assert message in err
+    assert err.count("\n") == 1 and len(err.encode()) < 200
 
 
 C4_FLAGS = {
@@ -330,11 +350,13 @@ def test_verify_accepts_each_certificate_kind(tmp_path, capsys, kind, certificat
         ("minor-model", "[" * 100_000),
         ("low-degree-vertex",
          '{"kind": "low-degree-vertex", "vertex": ' + "9" * 5000 + ', "degree": 2}'),
+        ("low-degree-vertex",
+         '{"kind": "low-degree-vertex", "vertex": 0, "degree": 2, "note": "x"}'),
     ],
     ids=["not-json", "json-list", "missing-field", "three-entry-edge",
          "bad-pair-vertices", "flat-branch-sets", "string-vertex", "bool-vertex",
          "string-in-mapping", "unhashable-kind", "minor-model-without-pattern",
-         "nested-too-deep", "int-too-long"],
+         "nested-too-deep", "int-too-long", "unknown-key"],
 )
 def test_malformed_certificate_is_usage_error(tmp_path, capsys, kind, certificate):
     assert_usage_error(capsys, "verify", *verify_c4(tmp_path, certificate, kind))

@@ -16,6 +16,7 @@ from defekt.density import (
 )
 from defekt.errors import ValidationError
 from defekt.graphs import Graph
+from defekt.wire import encode
 
 from helpers import graphs, grid, ladder, nonempty_graphs
 from oracles import (
@@ -220,7 +221,7 @@ def test_top_grad_above_cap_degrades_to_lower_bound(monkeypatch):
 
 
 def test_report_payload_shape():
-    payload = build_report(gadgets.petersen()).to_payload()
+    payload = encode(build_report(gadgets.petersen()))
     assert payload == {
         "mad": "3",
         "mad_witness": list(range(10)),
