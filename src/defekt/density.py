@@ -126,7 +126,7 @@ def mad_exact(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
     if g.n == 0:
         raise ValidationError("density of the empty graph is undefined")
     if g.m == 0:
-        return Fraction(0), (0,)
+        return Fraction(0), tuple(range(g.n))
     best_set = list(range(g.n))
     best = Fraction(g.m, g.n)
     while (found := _denser_than(g, best)) is not None:

@@ -331,6 +331,46 @@ def connected_components(g: Graph) -> list[list[int]]:
     return comps
 
 
+def blocks(g: Graph) -> list[tuple[list[int], list[tuple[int, int]]]]:
+    """Blocks (biconnected components) with an edge, each as (sorted
+    vertices, edges as sorted pairs).  Hopcroft and Tarjan's edge stack, on
+    an explicit stack of (vertex, parent, neighbour iterator, edge-stack
+    height at its tree edge) frames, so a long path needs no recursion."""
+    disc = [0] * g.n  # discovery times, counted from 1; 0 is unvisited
+    low = [0] * g.n
+    out = []
+    clock = 0
+    for s in range(g.n):
+        if disc[s]:
+            continue
+        clock += 1
+        disc[s] = low[s] = clock
+        edges: list[tuple[int, int]] = []
+        stack = [(s, -1, iter(g.neighbours(s)), 0)]
+        while stack:
+            u, parent, rest, mark = stack[-1]
+            for v in rest:
+                if not disc[v]:
+                    clock += 1
+                    disc[v] = low[v] = clock
+                    stack.append((v, u, iter(g.neighbours(v)), len(edges)))
+                    edges.append((u, v))
+                    break
+                if v != parent and disc[v] < disc[u]:
+                    edges.append((u, v))
+                    low[u] = min(low[u], disc[v])
+            else:
+                stack.pop()
+                if parent < 0:
+                    continue
+                low[parent] = min(low[parent], low[u])
+                if low[u] >= disc[parent]:
+                    block = [(min(a, b), max(a, b)) for a, b in edges[mark:]]
+                    del edges[mark:]
+                    out.append((sorted({x for e in block for x in e}), block))
+    return out
+
+
 def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(connected_components(g)) == 1
 

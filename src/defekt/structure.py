@@ -17,7 +17,7 @@ from math import floor
 from .bounds import n1
 from .caps import current_caps
 from .errors import CapExceededError, PreconditionRefutedError, ValidationError
-from .graphs import Graph, bits_of, component_mask
+from .graphs import Graph, bits_of, blocks, component_mask, connected_components
 from .matching import max_bipartite_matching
 
 
@@ -217,6 +217,23 @@ def validate_certificate(
 # ---------------------------------------------------------------------------
 # exact minor containment
 
+def _rank_refutes(g: Graph, h: Graph) -> bool:
+    """``h`` has the larger cycle rank, m - n + components."""
+    return h.m - h.n + len(connected_components(h)) > g.m - g.n + len(connected_components(g))
+
+
+def _blocks_refute(g: Graph, h: Graph) -> bool:
+    """``h`` is 2-connected, and no block of ``g`` has as many vertices and
+    edges and as large an m - n."""
+    pattern = blocks(h) if h.n >= 3 else []
+    if len(pattern) != 1 or len(pattern[0][0]) != h.n:
+        return False
+    return not any(
+        len(vs) >= h.n and len(es) >= h.m and len(es) - len(vs) >= h.m - h.n
+        for vs, es in blocks(g)
+    )
+
+
 def minor_test_bruteforce(g: Graph, h: Graph) -> MinorModel | None:
     """Exhaustive branch-set search for ``h`` as a minor of ``g``.
 
@@ -229,6 +246,13 @@ def minor_test_bruteforce(g: Graph, h: Graph) -> MinorModel | None:
     vertex of its own beside it.  The cut drops only sets that cannot
     extend to a model, so the answer is the first model in the canonical
     order.  Exact within the caps; returns that model or None.
+
+    Two cuts answer None, and only None, before the search: ``h`` needs a
+    cycle rank (m - n + components) no larger than ``g``'s, since no minor
+    operation raises it; and a 2-connected ``h`` needs a block of ``g`` with
+    at least its vertex count, edge count and m - n, since a 2-connected
+    minor of ``g`` is a minor of one of its blocks.  So whenever a model
+    exists, the search runs and finds the same one.
     """
     caps = current_caps()
     if g.n > caps.minor_host:
@@ -237,7 +261,7 @@ def minor_test_bruteforce(g: Graph, h: Graph) -> MinorModel | None:
         raise CapExceededError(f"pattern has {h.n} vertices, cap is {caps.minor_pattern}")
     if h.n == 0:
         return MinorModel(branch_sets=())
-    if h.n > g.n or h.m > g.m:
+    if h.n > g.n or h.m > g.m or _rank_refutes(g, h) or _blocks_refute(g, h):
         return None
 
     n, q = g.n, h.n

@@ -31,6 +31,24 @@ def nonempty_graphs(draw, min_n: int = 1, max_n: int = 8):
     return Graph(g.n, list(g.edges()) + [(u, u + 1)])
 
 
+@st.composite
+def glued_graphs(draw, max_n: int = 11):
+    """Two dense random graphs joined at a shared cut vertex, by a bridge,
+    or not at all, plus up to two isolated vertices: hosts with several
+    blocks."""
+    def part(n: int) -> list[tuple[int, int]]:
+        return [(u, v) for u in range(n) for v in range(u + 1, n) if draw(st.booleans())]
+
+    na = draw(st.integers(3, max_n // 2))
+    nb = draw(st.integers(3, max_n - na - 2))
+    how = draw(st.sampled_from(("cut vertex", "bridge", "apart")))
+    shift = na - 1 if how == "cut vertex" else na
+    edges = part(na) + [(u + shift, v + shift) for u, v in part(nb)]
+    if how == "bridge":
+        edges.append((draw(st.integers(0, na - 1)), shift + draw(st.integers(0, nb - 1))))
+    return Graph(shift + nb + draw(st.integers(0, 2)), edges)
+
+
 def ladder(rungs: int) -> Graph:
     """P_rungs x K_2: rung i joins vertices i and rungs + i."""
     edges = [(i, rungs + i) for i in range(rungs)]

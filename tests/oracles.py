@@ -252,7 +252,7 @@ def mad_by_edge_network(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
     """``density.mad_exact``'s Dinkelbach iteration, each step a flow on the
     edge-node network."""
     if g.m == 0:
-        return Fraction(0), (0,)
+        return Fraction(0), tuple(range(g.n))
     best_set = list(range(g.n))
     best = Fraction(g.m, g.n)
     while (found := denser_than_by_edge_network(g, best)) is not None:
@@ -264,7 +264,7 @@ def mad_by_bisection(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
     """Bisect the density guess until the bracket is under 1/n^2, the least
     gap between distinct subgraph densities, keeping the densest witness."""
     if g.m == 0:
-        return Fraction(0), (0,)
+        return Fraction(0), tuple(range(g.n))
     n = g.n
     best_set = list(range(n))
     best = Fraction(g.m, n)

@@ -540,9 +540,12 @@ def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
 
 
 def test_module_entry_point():
+    # the child imports the same package as this test, installed or not
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "defekt.cli", "gadget", "petersen"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "10 15"

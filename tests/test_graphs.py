@@ -1,10 +1,13 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from defekt import gadgets
 from defekt.errors import ParseError, ValidationError
 from defekt.graphs import (
     Graph,
     bits_of,
+    blocks,
     connected_components,
     contract_components,
     from_dimacs,
@@ -18,7 +21,7 @@ from defekt.graphs import (
     to_json,
 )
 
-from helpers import graphs, is_isomorphic
+from helpers import glued_graphs, graphs, is_isomorphic
 
 
 def test_duplicate_edges_collapse():
@@ -133,6 +136,30 @@ def test_connected_components_partition():
     g = Graph(5, [(0, 1), (2, 3)])
     comps = connected_components(g)
     assert sorted(sorted(c) for c in comps) == [[0, 1], [2, 3], [4]]
+
+
+def _as_multiset(parts):
+    return sorted(sorted(tuple(sorted(e)) for e in es) for es in parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(graphs(max_n=12), glued_graphs(max_n=12)))
+def test_blocks_match_networkx(g):
+    nx = pytest.importorskip("networkx")
+    ng = nx.Graph()
+    ng.add_nodes_from(g.vertices())
+    ng.add_edges_from(g.edges())
+    found = blocks(g)
+    assert all(vs == sorted({x for e in es for x in e}) for vs, es in found)
+    assert _as_multiset(es for _, es in found) == _as_multiset(
+        nx.biconnected_component_edges(ng)
+    )
+
+
+def test_blocks_of_a_long_path_need_no_recursion():
+    found = blocks(gadgets.path(20_000))
+    assert len(found) == 19_999
+    assert all(len(vs) == 2 and es == [tuple(vs)] for vs, es in found)
 
 
 def test_is_tree():

@@ -37,6 +37,7 @@ FAMILY = {
     "cycle-8-chords": chorded_cycle(8, [(0, 4), (1, 5)]),
     "cycle-9-chords": chorded_cycle(9, [(0, 3), (0, 5), (2, 7)]),
     "cycle-16-chords": chorded_cycle(16, [(0, 8), (2, 11), (3, 5), (6, 13)]),
+    "edgeless-5": Graph(5),
 }
 
 UNIONS = [
@@ -48,6 +49,8 @@ UNIONS = [
     ("cycle-8-chords", "ladder-5"),
     ("k-4-7", "cycle-9-chords"),
     ("path-7", "grid-3x4"),
+    ("edgeless-5", "star-6"),
+    ("edgeless-5", "edgeless-5"),
 ]
 
 

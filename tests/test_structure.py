@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defekt import gadgets
+from defekt import gadgets, structure
 from defekt.colouring import build_peel_trace, colour_tree_free
 from defekt.density import mad_exact, top_grad_half
 from defekt.errors import CapExceededError, PreconditionRefutedError
@@ -28,7 +28,7 @@ from defekt.structure import (
 )
 from defekt.wire import decode, encode
 
-from helpers import graphs, is_isomorphic, nonempty_graphs
+from helpers import glued_graphs, graphs, is_isomorphic, nonempty_graphs
 from oracles import minor_test_by_plain_search
 
 
@@ -176,6 +176,48 @@ def test_minor_search_matches_plain_search(g, name):
     assert minor_test_bruteforce(g, h) == minor_test_by_plain_search(g, h)
 
 
+CUT_PATTERNS = {
+    "K4": gadgets.complete(4),
+    "K33": gadgets.complete_bipartite(3, 3),
+    "K5": gadgets.complete(5),
+    "kell-H(2,1)": gadgets.gen_kell_H(2, 1),
+    "C4": gadgets.cycle(4),
+    "K23": gadgets.complete_bipartite(2, 3),
+    "W5": gadgets.wheel(5),
+    "K3+K2": Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)]),
+    "K4+isolated": Graph(5, list(gadgets.complete(4).edges())),
+}
+
+
+def minor_search_without_cuts(g, h):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "_rank_refutes", lambda g, h: False)
+        mp.setattr(structure, "_blocks_refute", lambda g, h: False)
+        return minor_test_bruteforce(g, h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(glued_graphs(max_n=11), st.sampled_from(sorted(CUT_PATTERNS)))
+def test_refutation_cuts_change_no_answer(g, name):
+    # the cycle-rank and host-block cuts only ever answer None, and only
+    # where the search would find no model
+    h = CUT_PATTERNS[name]
+    assert minor_test_bruteforce(g, h) == minor_search_without_cuts(g, h)
+
+
+@pytest.mark.parametrize("host, pattern, cut", [
+    (gadgets.gen_gsn(3, 2), gadgets.complete_bipartite(3, 3), "_blocks_refute"),
+    (gadgets.star(12), gadgets.gen_kell_H(2, 1), "_rank_refutes"),
+    (Graph(13, list(gadgets.cycle(5).edges()) + [(v, v + 1) for v in range(4, 12)]),
+     gadgets.gen_kell_H(2, 1), "_rank_refutes"),
+    (gadgets.cycle(13), gadgets.gen_kell_H(2, 1), "_rank_refutes"),
+])
+def test_refutation_cuts_fire(host, pattern, cut):
+    assert getattr(structure, cut)(host, pattern)
+    assert minor_test_bruteforce(host, pattern) is None
+    assert minor_search_without_cuts(host, pattern) is None
+
+
 def test_minor_known_cases():
     pet = gadgets.petersen()
     k5 = gadgets.complete(5)
@@ -195,6 +237,11 @@ def test_minor_caps():
         minor_test_bruteforce(gadgets.cycle(15), gadgets.complete(3))
     with pytest.raises(CapExceededError):
         minor_test_bruteforce(gadgets.cycle(9), gadgets.cycle(9))
+    # the caps are checked before the cuts that would refute these
+    with pytest.raises(CapExceededError):
+        minor_test_bruteforce(gadgets.path(15), gadgets.complete(4))
+    with pytest.raises(CapExceededError):
+        minor_test_bruteforce(gadgets.path(5), gadgets.complete(9))
 
 
 def test_validate_minor_model_catches_defects():
