@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .caps import current_caps
 from .errors import AlgorithmError, ValidationError
-from .graphs import Graph, bits_of, induced_subgraph
+from .graphs import Graph, bits_of, connected_components, induced_subgraph
 from .matching import max_bipartite_matching
 
 
@@ -238,10 +238,14 @@ def top_grad_half(
     - the matching is no larger than the number of missing pairs, nor than
       the number of outside vertices with two or more neighbours in S;
     - an extension by j more vertices gains at most the j largest remaining
-      degrees, in edges and in ds alike.
+      degrees, in edges and in ds alike;
+    - the cycle rank: the value of S is at most |S| - 1 + r, where
+      r = m - n + components of ``g``.  The base graph H of S has a
+      (<=1)-subdivision inside ``g``, and neither subdividing nor taking a
+      subgraph raises m - n + components, so e(H) - |S| + 1 <= r.
 
-    The missing pairs and their common neighbourhoods sit on a stack along
-    the search, so a set is bounded before anything is built for it.
+    A set's missing pairs are counted as C(|S|, 2) minus its inner edges,
+    and are only listed when the bounds above leave it a chance to win.
     Above the cap the densest subgraph is returned instead as a certified
     lower bound (method "heuristic-lower-bound").  Callers that already hold
     the ``mad_exact`` witness pass it as ``_mad_witness`` to skip
@@ -260,22 +264,26 @@ def top_grad_half(
 
     n = g.n
     masks = g.masks
+    rank = g.m - n + len(connected_components(g))
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
     degs = [g.degree(v) for v in order]
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + degs[i]
-    # the missing pairs (u, v) of S, grouped by v in join order, each with
-    # masks[u] & masks[v]; a superset's list extends its ancestors'
-    pairs: list[tuple[int, int]] = []
-    common: list[int] = []
 
-    def evaluate(size: int, s_mask: int, e_in: int, ds: int, two: int) -> None:
+    def evaluate(size: int, s_mask: int, e_in: int) -> None:
         nonlocal best_num, best_den, best_info
-        matchable = min(len(pairs), (two & ~s_mask).bit_count())
-        if min(e_in + matchable, ds // 2) * best_den <= best_num * size:
-            return
-        msize, match = max_bipartite_matching([c & ~s_mask for c in common])
+        # the missing pairs (u, v) of S, grouped by v in join order, u
+        # ascending: the matching, and so the witness, depends on this order
+        pairs: list[tuple[int, int]] = []
+        joined = 0
+        for v in order:
+            if s_mask >> v & 1:
+                pairs.extend((u, v) for u in bits_of(joined & ~masks[v]))
+                joined |= 1 << v
+        msize, match = max_bipartite_matching(
+            [masks[u] & masks[v] & ~s_mask for u, v in pairs]
+        )
         val = e_in + msize
         if val * best_den > best_num * size:
             best_num, best_den = val, size
@@ -289,7 +297,8 @@ def top_grad_half(
         for j in range(1, n - start + 1):
             gain = suffix[start] - suffix[start + j]
             tot = size + j
-            ub = min(e_in + gain + (n - tot), tot * (tot - 1) // 2, (ds + gain) // 2)
+            ub = min(e_in + gain + (n - tot), tot * (tot - 1) // 2, (ds + gain) // 2,
+                     tot - 1 + rank)
             if ub * best_den > best_num * tot:
                 return True
         return False
@@ -297,19 +306,18 @@ def top_grad_half(
     def visit(size: int, s_mask: int, e_in: int, ds: int, one: int, two: int,
               start: int) -> None:
         if size:
-            evaluate(size, s_mask, e_in, ds, two)
+            missing = size * (size - 1) // 2 - e_in
+            matchable = min(missing, (two & ~s_mask).bit_count())
+            ub = min(e_in + matchable, ds // 2, size - 1 + rank)
+            if ub * best_den > best_num * size:
+                evaluate(size, s_mask, e_in)
         for idx in range(start, n):
             if not promising(size, e_in, ds, idx):
                 return
             v = order[idx]
             mv = masks[v]
-            base = len(pairs)
-            for u in bits_of(s_mask & ~mv):
-                pairs.append((u, v))
-                common.append(masks[u] & mv)
             visit(size + 1, s_mask | (1 << v), e_in + (mv & s_mask).bit_count(),
                   ds + degs[idx], one | mv, two | (one & mv), idx + 1)
-            del pairs[base:], common[base:]
 
     visit(0, 0, 0, 0, 0, 0, 0)
 

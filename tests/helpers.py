@@ -32,21 +32,48 @@ def nonempty_graphs(draw, min_n: int = 1, max_n: int = 8):
 
 
 @st.composite
+def dense_graphs(draw, min_n: int = 3, max_n: int = 8):
+    """A random graph that keeps each pair as an edge on a fair coin, so it
+    is dense where ``graphs`` mostly draws short edge lists."""
+    n = draw(st.integers(min_n, max_n))
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if draw(st.booleans())])
+
+
+@st.composite
 def glued_graphs(draw, max_n: int = 11):
     """Two dense random graphs joined at a shared cut vertex, by a bridge,
     or not at all, plus up to two isolated vertices: hosts with several
     blocks."""
-    def part(n: int) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(n) for v in range(u + 1, n) if draw(st.booleans())]
-
-    na = draw(st.integers(3, max_n // 2))
-    nb = draw(st.integers(3, max_n - na - 2))
+    a = draw(dense_graphs(3, max_n // 2))
+    b = draw(dense_graphs(3, max_n - a.n - 2))
     how = draw(st.sampled_from(("cut vertex", "bridge", "apart")))
-    shift = na - 1 if how == "cut vertex" else na
-    edges = part(na) + [(u + shift, v + shift) for u, v in part(nb)]
+    shift = a.n - 1 if how == "cut vertex" else a.n
+    edges = list(a.edges()) + [(u + shift, v + shift) for u, v in b.edges()]
     if how == "bridge":
-        edges.append((draw(st.integers(0, na - 1)), shift + draw(st.integers(0, nb - 1))))
-    return Graph(shift + nb + draw(st.integers(0, 2)), edges)
+        edges.append((draw(st.integers(0, a.n - 1)), shift + draw(st.integers(0, b.n - 1))))
+    return Graph(shift + b.n + draw(st.integers(0, 2)), edges)
+
+
+@st.composite
+def subdivided_graphs(draw, max_n: int = 13):
+    """A random graph on 3-6 branch vertices with each edge kept or
+    1-subdivided, plus pendant and isolated vertices: hosts whose densest
+    (<=1)-subdivision preimage is often not a subgraph."""
+    n = k = draw(st.integers(3, 6))
+    edges = []
+    for u in range(k):
+        for v in range(u + 1, k):
+            kinds = ("absent", "edge", "subdivided") if n < max_n else ("absent", "edge")
+            kind = draw(st.sampled_from(kinds))
+            if kind == "edge":
+                edges.append((u, v))
+            elif kind == "subdivided":
+                edges += [(u, n), (v, n)]
+                n += 1
+    for _ in range(draw(st.integers(0, min(3, max_n - n)))):
+        edges.append((draw(st.integers(0, n - 1)), n))
+        n += 1
+    return Graph(n + draw(st.integers(0, min(2, max_n - n))), edges)
 
 
 def ladder(rungs: int) -> Graph:

@@ -440,11 +440,15 @@ def colour_tree_free_by_residues(g: Graph, t: Graph) -> TreeFreeOutcome:
 def top_grad_half_by_rescan(
     g: Graph, *, _mad_witness: tuple[int, ...] | None = None
 ) -> tuple[Fraction, SubdivisionWitness, str]:
-    """``top_grad_half`` before its degree-sum and two-neighbour bounds.
+    """``top_grad_half`` before its degree-sum, two-neighbour and
+    cycle-rank bounds.
 
     The same DFS over branch sets in descending-degree order, but every
     evaluated set rebuilds its missing pairs and matches them from scratch,
-    and the only bounds are the pair count and the leftover vertices.
+    and the only bounds are the pair count and the leftover vertices.  It
+    lacks the degree-sum lemma (S scores at most half its degree sum), the
+    cap on the matching by the outside vertices with two or more neighbours
+    in S, and the cycle-rank bound (S scores at most |S| - 1 + r).
     """
     if g.n == 0:
         raise ValidationError("density of the empty graph is undefined")

@@ -18,7 +18,7 @@ from defekt.errors import ValidationError
 from defekt.graphs import Graph
 from defekt.wire import encode
 
-from helpers import graphs, grid, ladder, nonempty_graphs
+from helpers import graphs, grid, ladder, nonempty_graphs, subdivided_graphs
 from oracles import (
     degeneracy_by_min,
     denser_than_by_edge_network,
@@ -190,6 +190,30 @@ def test_top_grad_half_matches_plain_rescan(g):
     value, witness, method = top_grad_half(g)
     old_value, _, old_method = top_grad_half_by_rescan(g)
     assert (value, method) == (old_value, old_method)
+    assert validate_subdivision_witness(g, witness) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(subdivided_graphs())
+def test_top_grad_half_matches_plain_rescan_on_subdivisions(g):
+    # the branch set of a connected subdivided base graph scores exactly
+    # |S| - 1 + r, the cycle-rank bound, so a bound one too tight shows
+    value, _, method = top_grad_half(g)
+    assert (value, method) == top_grad_half_by_rescan(g)[::2]
+
+
+@pytest.mark.parametrize("n", [16, 20])
+@pytest.mark.parametrize("family", ["tree", "unicyclic", "cycle"])
+def test_top_grad_half_of_a_sparse_host_is_half_its_mad(family, n):
+    # a set S scores at most |S| - 1 + r with r <= 1, which mad/2 already
+    # meets, so the search ends at its root
+    g = {
+        "tree": lambda: corpus.random_tree(n, n),
+        "unicyclic": lambda: corpus.random_unicyclic(n, n),
+        "cycle": lambda: gadgets.cycle(n),
+    }[family]()
+    value, witness, method = top_grad_half(g)
+    assert (value, method) == (mad_exact(g)[0] / 2, "brute-force")
     assert validate_subdivision_witness(g, witness) == []
 
 

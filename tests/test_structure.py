@@ -28,7 +28,7 @@ from defekt.structure import (
 )
 from defekt.wire import decode, encode
 
-from helpers import glued_graphs, graphs, is_isomorphic, nonempty_graphs
+from helpers import dense_graphs, glued_graphs, graphs, is_isomorphic, nonempty_graphs
 from oracles import minor_test_by_plain_search
 
 
@@ -168,10 +168,11 @@ MINOR_PATTERNS = {
 
 
 @settings(max_examples=150, deadline=None)
-@given(graphs(max_n=11), st.sampled_from(sorted(MINOR_PATTERNS)))
+@given(dense_graphs(min_n=5, max_n=10), st.sampled_from(sorted(MINOR_PATTERNS)))
 def test_minor_search_matches_plain_search(g, name):
     # the pattern-degree cut drops only subsets that cannot extend to a
-    # model, and the subset order is the same, so both find the same model
+    # model, and the subset order is the same, so both find the same model;
+    # dense hosts pass the vertex and edge counts, so most examples search
     h = MINOR_PATTERNS[name]
     assert minor_test_bruteforce(g, h) == minor_test_by_plain_search(g, h)
 
