@@ -82,10 +82,6 @@ def _load_graph(path: str) -> Graph:
     return sniff(_read_text(path))
 
 
-def _graph_payload(g: Graph) -> dict:
-    return json.loads(to_json(g))
-
-
 def _colour_map(colours) -> dict:
     return {str(v): c for v, c in enumerate(colours)}
 
@@ -169,36 +165,30 @@ def _cmd_analyze(args) -> tuple[int, object]:
 
 def _cmd_detect(args) -> tuple[int, object]:
     g = _load_graph(args.graph)
-    requested = False
     payload: dict = {}
     if args.kst_star is not None:
-        requested = True
         s, t = args.kst_star
         payload["kst-star"] = find_kst_star(g, s, t)
     if args.light_edge is not None:
-        requested = True
         payload["light-edge"] = find_light_edge(g, args.light_edge)
     if args.minor is not None:
-        requested = True
         pattern = _load_graph(args.minor)
         payload["minor"] = minor_test_bruteforce(g, pattern)
     if args.tau:
-        requested = True
         value, cover = vertex_cover_number(g)
         payload["tau"] = {"value": value, "cover": cover}
     if args.treedepth:
-        requested = True
         payload["treedepth"] = tree_depth(g)
-    if not requested:
+    if not payload:
         raise ValidationError("detect needs at least one search flag")
     return 0, payload
 
 
 def _cmd_colour(args) -> tuple[int, object]:
     g = _load_graph(args.graph)
+    if args.mode in ("list", "kell") and (args.k is None or args.ell is None):
+        raise ValidationError(f"{args.mode} mode needs --k and --ell")
     if args.mode == "list":
-        if args.k is None or args.ell is None:
-            raise ValidationError("list mode needs --k and --ell")
         lists = [tuple(range(1, args.k + 2))] * g.n
         colours = defective_list_colour(g, lists, args.k, args.ell)
         payload = {
@@ -210,8 +200,6 @@ def _cmd_colour(args) -> tuple[int, object]:
             payload["trace"] = build_peel_trace(g, args.k, args.ell).steps
         return 0, payload
     if args.mode == "kell":
-        if args.k is None or args.ell is None:
-            raise ValidationError("kell mode needs --k and --ell")
         res = colour_kell(g, args.ell, args.k)
         payload = {"mode": "kell", "kind": res.kind, "diagnostics": res.diagnostics}
         if res.kind == "colouring":
@@ -486,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
         payload = json.dumps({
             "error": type(exc).__name__,
             "message": str(exc),
-            "witness": None if exc.witness is None else _graph_payload(exc.witness),
+            "witness": None if exc.witness is None else json.loads(to_json(exc.witness)),
         }, sort_keys=True, indent=2) + "\n"
     except AlgorithmError as exc:
         # a failed self-check is a bug, neither bad input nor a structural outcome
@@ -499,7 +487,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "experiment":
             _emit_rows(payload, args.format, target)
         else:
-            _emit_payload(payload, getattr(args, "format", "json"), target)
+            _emit_payload(payload, args.format, target)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -102,8 +102,6 @@ def shortest_cycle(g: Graph) -> tuple[int, ...] | None:
                     common = set(pa) & set(pb)
                     ia = next(i for i, x in enumerate(pa) if x in common)
                     ib = next(i for i, x in enumerate(pb) if x in common)
-                    if pa[ia] != pb[ib]:
-                        continue
                     cyc = tuple(pa[: ia + 1] + pb[:ib][::-1])
                     if len(cyc) >= 3 and (best is None or len(cyc) < len(best)):
                         best = cyc

@@ -174,40 +174,22 @@ def no_c4_planar(seed: int = 0, count: int = 30, size: int = 30) -> list[dict]:
 
 
 def kell_smoke(seed: int = 0, count: int = 20) -> list[dict]:
-    rows = []
-    for m in range(6, 13):
-        res = colour_kell(gadgets.cycle(m), 2, 1)
-        ok = (
-            res.kind == "colouring"
-            and len(set(res.colours)) <= 2
-            and verify_defective(gadgets.cycle(m), res.colours, res.defect_bound)[0]
-        )
-        rows.append(
-            _row(
-                f"kell-cycle-{m}",
-                "kell-two-colouring",
-                {"n": m, "ell": 2, "k": 1},
-                True,
-                ok,
-            )
-        )
+    cases = [
+        (f"kell-cycle-{m}", gadgets.cycle(m), {"n": m, "ell": 2, "k": 1})
+        for m in range(6, 13)
+    ]
     for i in range(count):
         g = corpus.sparse_pattern_free(10 + (i % 7), seed * 7919 + i)
+        cases.append((f"kell-sparse-{i}", g, {"seed": seed * 7919 + i, "n": g.n, "m": g.m}))
+    rows = []
+    for check_id, g, inputs in cases:
         res = colour_kell(g, 2, 1)
         ok = (
             res.kind == "colouring"
             and len(set(res.colours)) <= 2
             and verify_defective(g, res.colours, res.defect_bound)[0]
         )
-        rows.append(
-            _row(
-                f"kell-sparse-{i}",
-                "kell-two-colouring",
-                {"seed": seed * 7919 + i, "n": g.n, "m": g.m},
-                True,
-                ok,
-            )
-        )
+        rows.append(_row(check_id, "kell-two-colouring", inputs, True, ok))
     pattern = gadgets.gen_kell_H(2, 1)
     res = colour_kell(pattern, 2, 1)
     ok = (
@@ -272,27 +254,20 @@ def oracle_agreement(seed: int = 0, count: int = 200) -> list[dict]:
         try:
             colours = defective_list_colour(g, lists, k, ell)
         except StructuralError:
-            rows.append(
-                _row(
-                    f"agreement-{i}",
-                    "peel-oracle-agreement",
-                    {"seed": inst_seed, "n": n, "m": g.m, "k": k, "ell": ell,
-                     "outcome": "stuck"},
-                    True,
-                    True,
-                )
-            )
-            continue
-        sound = verify_defective(g, colours, ell - k)[0]
-        agrees, _ = is_kd_colourable_bruteforce(g, k + 1, ell - k)
+            outcome, ok = "stuck", True
+        else:
+            outcome = "coloured"
+            sound = verify_defective(g, colours, ell - k)[0]
+            agrees, _ = is_kd_colourable_bruteforce(g, k + 1, ell - k)
+            ok = sound and agrees
         rows.append(
             _row(
                 f"agreement-{i}",
                 "peel-oracle-agreement",
                 {"seed": inst_seed, "n": n, "m": g.m, "k": k, "ell": ell,
-                 "outcome": "coloured"},
+                 "outcome": outcome},
                 True,
-                sound and agrees,
+                ok,
             )
         )
     return rows

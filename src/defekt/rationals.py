@@ -40,8 +40,6 @@ class Enclosure:
         o = _as_enclosure(other)
         return Enclosure(self.lo + o.lo, self.hi + o.hi)
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         o = _as_enclosure(other)
         corners = [a * b for a in (self.lo, self.hi) for b in (o.lo, o.hi)]
@@ -53,9 +51,6 @@ class Enclosure:
         o = _as_enclosure(other)
         return Enclosure(self.lo - o.hi, self.hi - o.lo)
 
-    def __rsub__(self, other):
-        return _as_enclosure(other) - self
-
     def __truediv__(self, other):
         o = _as_enclosure(other)
         if o.lo <= 0 <= o.hi:
@@ -63,43 +58,15 @@ class Enclosure:
         corners = [a / b for a in (self.lo, self.hi) for b in (o.lo, o.hi)]
         return Enclosure(min(corners), max(corners))
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Enclosure):
-            return self.lo == other.lo and self.hi == other.hi
-        if isinstance(other, (int, Fraction)):
-            return self.is_exact and self.lo == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.lo, self.hi))
-
-    def _cmp(self, other, op: str) -> bool:
-        o = _as_enclosure(other)
-        if op == "lt":
-            if self.hi < o.lo:
-                return True
-            if self.lo >= o.hi:
-                return False
-        elif op == "le":
-            if self.hi <= o.lo:
-                return True
-            if self.lo > o.hi:
-                return False
-        raise PrecisionError(
-            f"comparison of {self} against {o} straddles the boundary"
-        )
-
-    def __lt__(self, other):
-        return self._cmp(other, "lt")
-
-    def __le__(self, other):
-        return self._cmp(other, "le")
-
-    def __gt__(self, other):
-        return _as_enclosure(other)._cmp(self, "lt")
-
     def __ge__(self, other):
-        return _as_enclosure(other)._cmp(self, "le")
+        o = _as_enclosure(other)
+        if o.hi <= self.lo:
+            return True
+        if o.lo > self.hi:
+            return False
+        raise PrecisionError(
+            f"comparison of {o} against {self} straddles the boundary"
+        )
 
     def max_with(self, other) -> "Enclosure":
         o = _as_enclosure(other)

@@ -109,9 +109,8 @@ def find_kst_star(g: Graph, s: int, t: int) -> KstStarEmbedding | None:
         if common.bit_count() < t:
             continue
         pairs = list(combinations(centres, 2))
+        # each pair's candidates include the common pool, which is not empty
         pair_cands = [masks[u] & masks[v] & ~amask for u, v in pairs]
-        if any(pc == 0 for pc in pair_cands):
-            continue
         size, match = max_bipartite_matching(pair_cands + [common] * t)
         if size == n_pairs + t:
             pair_vertices = tuple(zip(pairs, match))
@@ -269,9 +268,8 @@ def minor_test_bruteforce(g: Graph, h: Graph) -> MinorModel | None:
     full = (1 << n) - 1
 
     # placement order: most placed neighbours first, then degree, then id
-    first = max(h.vertices(), key=lambda v: (h.degree(v), -v))
-    order = [first]
-    placed = {first}
+    order: list[int] = []
+    placed: set[int] = set()
     while len(order) < q:
         nxt = max(
             (v for v in h.vertices() if v not in placed),

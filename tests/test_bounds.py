@@ -1,3 +1,4 @@
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import floor
 
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 from defekt import gadgets
 from defekt.bounds import (
     FORMULAS,
+    crossing_lower_bound,
     dg,
     earth_moon_table,
     evaluate,
@@ -17,7 +19,7 @@ from defekt.bounds import (
     stack_params,
     surface_edge_bound,
 )
-from defekt.errors import ValidationError
+from defekt.errors import PrecisionError, ValidationError
 from defekt.structure import hfree_bounds
 from defekt.wire import encode
 
@@ -96,6 +98,39 @@ def test_surface_bounds_planar_case():
 def test_dg_is_exact_on_perfect_squares():
     # 24g+1 = 49 at g = 2, so the enclosure collapses to a point
     assert dg(2).value == 3
+
+
+def test_crossing_lower_bound_cubic_branch():
+    # m >= 2 d_g n takes m^3 / (8 (d_g n)^2): at genus 0, 60^3 / (8 * 30^2)
+    assert crossing_lower_bound(10, 60, 0).value == 30
+    assert encode(evaluate("crossing-lower", n=10, m=60, genus=0)) == {
+        "formula_id": "crossing-lower",
+        "params": {"n": 10, "m": 60, "genus": 0},
+        "value": {"exact": "30"},
+    }
+    # d_3 = (5 + sqrt(73)) / 4 is irrational, so the value is an interval
+    # around 100^3 / (8 (10 d_3)^2)
+    got = crossing_lower_bound(10, 100, 3)
+    assert not got.is_exact
+    with localcontext() as ctx:
+        ctx.prec = 60
+        d3 = (5 + Decimal(73).sqrt()) / 4
+        true = Decimal(100) ** 3 / (8 * (10 * d3) ** 2)
+        lo = Decimal(got.lo.numerator) / got.lo.denominator
+        hi = Decimal(got.hi.numerator) / got.hi.denominator
+    assert lo < true < hi
+    assert hi - lo < true / 10**8
+
+
+def test_straddling_comparison_names_the_bound_first():
+    # m sits inside the enclosure of 2 d_3 n, so the branch cannot be chosen
+    message = (
+        "comparison of [237414257000000000000/35058209, 27787237000000000000/4103253]"
+        " against 6772001872658 straddles the boundary"
+    )
+    with pytest.raises(PrecisionError) as exc:
+        crossing_lower_bound(10**12, 6772001872658, 3)
+    assert str(exc.value) == message
 
 
 def test_stack_and_queue_params_grow():

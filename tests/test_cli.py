@@ -13,9 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from defekt import caps, cli, experiments
+from defekt import caps, cli, experiments, gadgets
 from defekt.cli import build_parser, main
+from defekt.colouring import build_peel_trace
 from defekt.errors import AlgorithmError
+from defekt.graphs import to_edge_list
+from defekt.wire import encode
 
 from helpers import ladder
 
@@ -92,6 +95,36 @@ def test_colour_verify_round_trip(tmp_path, capsys):
                     "--colouring", str(colouring), "--defect", "1")
     assert code == 0
     assert json.loads(out)["valid"] is True
+
+
+@pytest.mark.parametrize(
+    "mode, flags, limits",
+    [("list", ["--k", "1", "--ell", "4"], (1, 4)), ("partition", ["--limit", "3"], (1, 3))],
+)
+def test_colour_trace_is_the_peel_trace(tmp_path, capsys, mode, flags, limits):
+    # the hub of this wheel has degree 4, so the edge limits 3 and 4 give
+    # different traces
+    g = gadgets.wheel(4)
+    graph = tmp_path / "wheel.txt"
+    graph.write_text(to_edge_list(g))
+    code, out = run(capsys, "colour", str(graph), "--mode", mode, "--trace", *flags)
+    assert code == 0
+    assert json.loads(out)["trace"] == encode(build_peel_trace(g, *limits).steps)
+
+
+def test_colour_kell_reports_the_aux_hub_model(capsys, monkeypatch):
+    text = to_edge_list(gadgets.complete_bipartite(3, 12))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out = run(capsys, "colour", "-", "--mode", "kell", "--ell", "2", "--k", "1")
+    assert code == 0
+    assert json.loads(out) == {
+        "mode": "kell",
+        "kind": "minor",
+        "diagnostics": {"aux_edges": 3, "linked_vertices": 3, "pattern_vertices": 5,
+                        "source": "aux-hub", "threshold": 12},
+        "minor_model": {"kind": "minor-model",
+                        "branch_sets": [[0], [1, 3], [4], [2, 5], [6]]},
+    }
 
 
 def test_verify_rejects_bad_colouring(tmp_path, capsys):
@@ -409,6 +442,33 @@ def test_experiment_formats(capsys):
     code, out = run(capsys, "experiment", "earth-moon-table",
                     "--format", "text")
     assert all(line.startswith("PASS") for line in out.strip().splitlines())
+
+
+PETERSEN_REPORT = {
+    "csv": "key,value\ndegeneracy,3\nmad,3\n"
+           'mad_witness,"[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]"\n'
+           "top_grad_half,3/2\ntop_grad_method,brute-force\n",
+    "text": "degeneracy: 3\nmad: 3\nmad_witness: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]\n"
+            "top_grad_half: 3/2\ntop_grad_method: brute-force\n",
+}
+EARTH_MOON_ROWS = [(5, 36, "derived")] + [
+    (c, d, "recorded") for c, d in ((6, 19), (7, 12), (8, 9), (9, 6), (10, 4), (11, 2))
+]
+EARTH_MOON = {
+    "csv": "colours,defect,source\n"
+           + "".join(f"{c},{d},{s}\n" for c, d, s in EARTH_MOON_ROWS),
+    "text": "".join(f'{{"colours": {c}, "defect": {d}, "source": "{s}"}}\n'
+                    for c, d, s in EARTH_MOON_ROWS),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_payload_formats(tmp_path, capsys, fmt):
+    # a dict payload prints one key per line, a list payload one item per line
+    graph = tmp_path / "petersen.txt"
+    graph.write_text(to_edge_list(gadgets.petersen()))
+    assert run(capsys, "analyze", str(graph), "--format", fmt) == (0, PETERSEN_REPORT[fmt])
+    assert run(capsys, "bounds", "earth-moon", "--format", fmt) == (0, EARTH_MOON[fmt])
 
 
 def test_cap_override(tmp_path, capsys, monkeypatch):

@@ -381,6 +381,25 @@ def test_kell_dense_host_skips_the_screen_but_still_colours():
     assert ok
 
 
+def test_kell_aux_hub_yields_a_checked_model():
+    # n = 15 is above minor_host, so the exact screen is skipped; the three
+    # vertices on the small side share 12 = r neighbours pairwise
+    g = gadgets.complete_bipartite(3, 12)
+    res = colour_kell(g, 2, 1)
+    assert res.kind == "minor"
+    assert res.diagnostics["source"] == "aux-hub"
+    assert res.minor_model.branch_sets == ((0,), (1, 3), (4,), (2, 5), (6,))
+    assert validate_minor_model(g, gadgets.gen_kell_H(2, 1), res.minor_model) == []
+
+
+def test_kell_edgeless_quotient_takes_one_colour():
+    res = colour_kell(Graph(5), 2, 1)
+    assert res.kind == "colouring"
+    assert res.colours == (1,) * 5
+    assert res.diagnostics["quotient_defect"] == 0
+    assert res.defect_bound == 3
+
+
 def test_kell_worst_case_density_fallback():
     g = corpus.sparse_pattern_free(25, 99)
     res = colour_kell(g, 2, 1)

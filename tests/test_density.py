@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from defekt import corpus, gadgets
 from defekt.density import (
+    SubdivisionWitness,
     _denser_than,
     build_report,
     degeneracy,
@@ -215,6 +216,36 @@ def test_top_grad_half_of_a_sparse_host_is_half_its_mad(family, n):
     value, witness, method = top_grad_half(g)
     assert (value, method) == (mad_exact(g)[0] / 2, "brute-force")
     assert validate_subdivision_witness(g, witness) == []
+
+
+# a triangle realised in K4 minus the edge (0, 2): its pair (0, 2) goes
+# through the division vertex 3
+WITNESS_HOST = Graph(4, [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)])
+TRIANGLE = Graph(3, [(0, 1), (0, 2), (1, 2)])
+
+
+@pytest.mark.parametrize(
+    "branch, paths, problems",
+    [
+        ((0, 1, 2), ((0, 1), (0, 3, 2), (1, 2)), []),
+        ((0, 1), ((0, 1), (0, 3, 2), (1, 2)),
+         ["branch table length differs from base order"]),
+        ((0, 1, 1), ((0, 1), (0, 1), (1, 3, 1)), ["branch vertices repeat"]),
+        ((0, 1, 2), ((0, 1), (0, 3, 2)), ["one path per base edge required"]),
+        ((0, 1, 2), ((0,), (0, 3, 2), (1, 2)), ["path (0,) has bad length"]),
+        ((0, 1, 2), ((0, 1), (1, 3, 2), (1, 2)),
+         ["path (1, 3, 2) does not join branch vertices of (0,2)"]),
+        ((0, 1, 2), ((0, 1), (0, 2), (1, 2)), ["missing host edge (0,2) on path (0, 2)"]),
+        ((0, 1, 2), ((0, 1), (0, 1, 2), (1, 2)),
+         ["division vertex 1 is also a branch vertex"]),
+        ((0, 1, 2), ((0, 1), (0, 3, 2), (1, 3, 2)), ["division vertex 3 reused"]),
+    ],
+    ids=["sound", "branch-length", "branch-repeat", "path-count", "path-length",
+         "path-ends", "host-edge", "division-is-branch", "division-reused"],
+)
+def test_validate_subdivision_witness_names_each_breakage(branch, paths, problems):
+    witness = SubdivisionWitness(base=TRIANGLE, branch=branch, paths=paths)
+    assert validate_subdivision_witness(WITNESS_HOST, witness) == problems
 
 
 @settings(max_examples=150, deadline=None)

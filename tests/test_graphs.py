@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defekt import gadgets
+from defekt.cli import main
 from defekt.errors import ParseError, ValidationError
 from defekt.graphs import (
     Graph,
@@ -105,6 +106,34 @@ def test_comments_and_blank_lines_ignored():
 def test_dimacs_is_one_based():
     g = from_dimacs("p edge 3 2\ne 1 2\ne 2 3\n")
     assert sorted(g.edges()) == [(0, 1), (1, 2)]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p edge 2 1\np edge 2 1\n", "line 2: duplicate problem line"),
+        ("p edge 2\n", "line 1: bad problem line 'p edge 2'"),
+        ("p edge two 1\n", "line 1: non-integer size in problem line"),
+        ("c x\ne 1 2\np edge 2 1\n", "line 2: edge before problem line"),
+        ("p edge 2 1\ne 1\n", "line 2: bad edge line 'e 1'"),
+        ("p edge 2 1\ne 1 x\n", "line 2: non-integer endpoint"),
+        ("p edge 2 1\ne 3 1\n", "line 2: endpoint out of range in 'e 3 1'"),
+        ("p edge 2 1\nx 1 2\n", "line 2: unknown record 'x'"),
+        ("c no problem line\n", "missing problem line"),
+    ],
+    ids=["duplicate-problem", "bad-problem", "non-integer-size", "edge-first",
+         "bad-edge", "non-integer-endpoint", "endpoint-out-of-range", "unknown-record",
+         "missing-problem"],
+)
+def test_dimacs_errors(tmp_path, capsys, text, message):
+    with pytest.raises(ParseError) as exc:
+        from_dimacs(text)
+    assert str(exc.value) == message
+    graph = tmp_path / "g.dimacs"
+    graph.write_text(text)
+    assert main(["analyze", str(graph)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_json_errors():
