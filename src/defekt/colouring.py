@@ -1,8 +1,9 @@
 """Constructive defective-colouring algorithms and their exhaustive oracle.
 
 The workhorse is the peel-and-replay list colouring: strip a low-degree
-vertex or a light edge until nothing is left, then reinsert in reverse,
-recolouring an endpoint when an edge insertion pushes it over the defect.
+vertex or a light edge until nothing is left, then reinsert the vertices in
+reverse, each taking a colour that none of its neighbours at removal holds;
+nothing is ever recoloured.
 On top of that sit the layered colouring for graphs excluding a fixed tree,
 the forest-plus-bounded-degree edge partition, and the quotient-and-pullback
 two-colouring for graphs excluding a star of stars as a minor.
@@ -200,6 +201,15 @@ def defective_list_colour(
     ``k`` or an ``ell``-light edge; a stuck peel raises a structural error
     carrying the surviving subgraph.  The returned assignment is verified
     before it leaves.
+
+    The replay reads the peel trace backwards: each vertex takes the first
+    colour of its list that none of its at most ``k`` neighbours at removal
+    holds, and cut edges are skipped.  That already meets the defect.  An
+    edge at x that the vertex rule removed joins x to a neighbour whose
+    colour x avoided, or to a vertex removed before x that avoided x's.
+    The vertex rule is preferred, so an edge at x is cut only while
+    k < deg(x) <= ell, and each cut lowers deg(x): at most ell - k cut edges
+    meet x, and only they can join x to its own colour.
     """
     if not 1 <= k <= ell:
         raise ValidationError(f"need ell >= k >= 1, got k={k}, ell={ell}")
@@ -216,43 +226,21 @@ def defective_list_colour(
         palettes.append(pal)
 
     trace = build_peel_trace(g, k, ell)
-    d = ell - k
     colours: list[int | None] = [None] * g.n
-    adj: list[set[int]] = [set() for _ in range(g.n)]
-
-    def same_count(v: int) -> int:
-        return sum(1 for w in adj[v] if colours[w] == colours[v])
-
-    def recolour(v: int) -> None:
-        used = {colours[w] for w in adj[v]}
-        for c in palettes[v]:
-            if c not in used:
-                colours[v] = c
-                return
-        raise AlgorithmError(
-            f"no free colour for vertex {v}: its {len(adj[v])} neighbours "
-            f"block all of {palettes[v]}"
-        )
-
     for step in reversed(trace.steps):
-        if isinstance(step, RemoveVertex):
-            v = step.vertex
-            for u in step.neighbours:
-                adj[v].add(u)
-                adj[u].add(v)
-            recolour(v)
-        else:
-            x, y = step.edge
-            adj[x].add(y)
-            adj[y].add(x)
-            if colours[x] == colours[y]:
-                for z in (x, y):
-                    if same_count(z) > d:
-                        recolour(z)
-                        break
+        if isinstance(step, RemoveEdge):
+            continue
+        v = step.vertex
+        used = {colours[u] for u in step.neighbours}
+        colours[v] = next((c for c in palettes[v] if c not in used), None)
+        if colours[v] is None:
+            raise AlgorithmError(
+                f"no free colour for vertex {v}: its {len(step.neighbours)} "
+                f"neighbours block all of {palettes[v]}"
+            )
 
     final = tuple(colours)  # type: ignore[arg-type]
-    ok, violations = verify_defective(g, final, d)
+    ok, violations = verify_defective(g, final, ell - k)
     if not ok:
         raise AlgorithmError(f"replay produced defect violations {violations}")
     for v in range(g.n):
@@ -452,32 +440,21 @@ def edge_partition_forest_bounded(
     ``limit - 1``.
 
     Requires every subgraph to have a vertex of degree at most 1 or a
-    ``limit``-light edge.  Replay keeps the invariant that an edge enters
-    the forest only when one endpoint has forest-degree 0, which can never
-    close a cycle; an edge enters the other side only while both endpoints
-    have room.
+    ``limit``-light edge.  The forest is the one recorded neighbour edge of
+    each removed vertex, which joins it to a vertex removed later, so it
+    never closes a cycle.  The bounded side is every cut edge.  The vertex
+    rule is preferred, so an edge at x is cut only while 1 < deg(x) <= limit,
+    and each cut lowers deg(x): at most limit - 1 cut edges meet x.
     """
     if limit < 1:
         raise ValidationError("need limit >= 1")
     trace = build_peel_trace(g, 1, limit)
-    tree_edges: list[tuple[int, int]] = []
-    rest_edges: list[tuple[int, int]] = []
-    deg_rest = [0] * g.n
-
-    for step in reversed(trace.steps):
-        if isinstance(step, RemoveVertex):
-            v = step.vertex
-            if step.neighbours:
-                u = step.neighbours[0]
-                tree_edges.append((min(u, v), max(u, v)))
-        else:
-            x, y = step.edge
-            if deg_rest[x] <= limit - 2 and deg_rest[y] <= limit - 2:
-                rest_edges.append((x, y))
-                deg_rest[x] += 1
-                deg_rest[y] += 1
-            else:
-                tree_edges.append((x, y))
+    tree_edges = [
+        tuple(sorted((step.vertex, step.neighbours[0])))
+        for step in trace.steps
+        if isinstance(step, RemoveVertex) and step.neighbours
+    ]
+    rest_edges = [step.edge for step in trace.steps if isinstance(step, RemoveEdge)]
 
     # independent checks: union-find for acyclicity, counting for degrees
     parent = list(range(g.n))

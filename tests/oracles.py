@@ -14,6 +14,10 @@ so both are exponential and only meant for graphs of a dozen vertices or
 fewer.  ``top_grad_half_by_rescan`` and ``minor_test_by_plain_search`` are
 the two exponential searches as they stood before their pruning, kept so
 that the pruned ones can be checked to find the same answers.
+``list_colour_by_recheck`` and ``partition_by_room_check`` are the
+list-colouring and forest-partition replays with the re-checks that the
+peel's thresholds make unreachable, kept so that the direct replays can be
+checked to give the same colours and edges.
 """
 
 from fractions import Fraction
@@ -21,9 +25,12 @@ from itertools import combinations, product
 
 from defekt.caps import current_caps
 from defekt.colouring import (
+    ColourAssignment,
+    ListAssignment,
     PeelTrace,
     RemoveEdge,
     RemoveVertex,
+    build_peel_trace,
     TreeEmbedding,
     TreeFreeOutcome,
     validate_tree_embedding,
@@ -93,13 +100,19 @@ def peel_by_rescan(g: Graph, vertex_limit: int, edge_limit: int) -> PeelTrace:
 
 def replay_forward_check(g: Graph, trace: PeelTrace) -> bool:
     """True iff applying the trace to ``g`` deletes every vertex and edge
-    exactly once, each step's recorded neighbours matching the live ones."""
+    exactly once, each step's recorded neighbours matching the live ones,
+    and each step keeps its threshold: a removed vertex has at most
+    ``vertex_limit`` live neighbours, and both ends of a cut edge have a
+    live degree above ``vertex_limit`` and at most ``edge_limit``."""
+    low, high = trace.vertex_limit, trace.edge_limit
     adj = [set(g.neighbours(v)) for v in g.vertices()]
     present = [True] * g.n
     for step in trace.steps:
         if isinstance(step, RemoveVertex):
             v = step.vertex
             if not present[v] or tuple(sorted(adj[v])) != step.neighbours:
+                return False
+            if len(adj[v]) > low:
                 return False
             for u in step.neighbours:
                 adj[u].discard(v)
@@ -109,9 +122,151 @@ def replay_forward_check(g: Graph, trace: PeelTrace) -> bool:
             u, w = step.edge
             if not (present[u] and present[w] and w in adj[u]):
                 return False
+            if not all(low < len(adj[x]) <= high for x in (u, w)):
+                return False
             adj[u].discard(w)
             adj[w].discard(u)
     return not any(present) and not any(adj[v] for v in range(g.n))
+
+
+def list_colour_by_recheck(
+    g: Graph, lists: ListAssignment, k: int, ell: int
+) -> ColourAssignment:
+    """``defective_list_colour`` as it replayed before it read the trace
+    directly: it rebuilds the adjacency edge by edge and, when a re-added
+    edge joins two vertices of one colour, recounts both ends and recolours
+    one that is over the defect.
+
+    Colour ``g`` from (k+1)-lists with defect at most ``ell - k``.
+
+    Requires that every subgraph of ``g`` has a vertex of degree at most
+    ``k`` or an ``ell``-light edge; a stuck peel raises a structural error
+    carrying the surviving subgraph.  The returned assignment is verified
+    before it leaves.
+    """
+    if not 1 <= k <= ell:
+        raise ValidationError(f"need ell >= k >= 1, got k={k}, ell={ell}")
+    if len(lists) != g.n:
+        raise ValidationError(f"need {g.n} lists, got {len(lists)}")
+    palettes = []
+    for v, lst in enumerate(lists):
+        pal = tuple(sorted(set(lst)))
+        if len(pal) != k + 1:
+            raise ValidationError(
+                f"list of vertex {v} must hold exactly {k + 1} colours, "
+                f"got {len(pal)}"
+            )
+        palettes.append(pal)
+
+    trace = build_peel_trace(g, k, ell)
+    d = ell - k
+    colours: list[int | None] = [None] * g.n
+    adj: list[set[int]] = [set() for _ in range(g.n)]
+
+    def same_count(v: int) -> int:
+        return sum(1 for w in adj[v] if colours[w] == colours[v])
+
+    def recolour(v: int) -> None:
+        used = {colours[w] for w in adj[v]}
+        for c in palettes[v]:
+            if c not in used:
+                colours[v] = c
+                return
+        raise AlgorithmError(
+            f"no free colour for vertex {v}: its {len(adj[v])} neighbours "
+            f"block all of {palettes[v]}"
+        )
+
+    for step in reversed(trace.steps):
+        if isinstance(step, RemoveVertex):
+            v = step.vertex
+            for u in step.neighbours:
+                adj[v].add(u)
+                adj[u].add(v)
+            recolour(v)
+        else:
+            x, y = step.edge
+            adj[x].add(y)
+            adj[y].add(x)
+            if colours[x] == colours[y]:
+                for z in (x, y):
+                    if same_count(z) > d:
+                        recolour(z)
+                        break
+
+    final = tuple(colours)  # type: ignore[arg-type]
+    ok, violations = verify_defective(g, final, d)
+    if not ok:
+        raise AlgorithmError(f"replay produced defect violations {violations}")
+    for v in range(g.n):
+        if final[v] not in palettes[v]:
+            raise AlgorithmError(f"vertex {v} left its list")
+    return final
+
+
+def partition_by_room_check(
+    g: Graph, limit: int
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """``edge_partition_forest_bounded`` as it replayed before it read the
+    trace directly: a cut edge goes to the bounded side only after a test
+    that both ends have room, and to the forest otherwise.
+
+    Split the edges into an acyclic part and a part of maximum degree
+    ``limit - 1``.
+
+    Requires every subgraph to have a vertex of degree at most 1 or a
+    ``limit``-light edge.  Replay keeps the invariant that an edge enters
+    the forest only when one endpoint has forest-degree 0, which can never
+    close a cycle; an edge enters the other side only while both endpoints
+    have room.
+    """
+    if limit < 1:
+        raise ValidationError("need limit >= 1")
+    trace = build_peel_trace(g, 1, limit)
+    tree_edges: list[tuple[int, int]] = []
+    rest_edges: list[tuple[int, int]] = []
+    deg_rest = [0] * g.n
+
+    for step in reversed(trace.steps):
+        if isinstance(step, RemoveVertex):
+            v = step.vertex
+            if step.neighbours:
+                u = step.neighbours[0]
+                tree_edges.append((min(u, v), max(u, v)))
+        else:
+            x, y = step.edge
+            if deg_rest[x] <= limit - 2 and deg_rest[y] <= limit - 2:
+                rest_edges.append((x, y))
+                deg_rest[x] += 1
+                deg_rest[y] += 1
+            else:
+                tree_edges.append((x, y))
+
+    # independent checks: union-find for acyclicity, counting for degrees
+    parent = list(range(g.n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v in tree_edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            raise AlgorithmError(f"forest side closed a cycle at edge ({u},{v})")
+        parent[ru] = rv
+    degs = [0] * g.n
+    for u, v in rest_edges:
+        degs[u] += 1
+        degs[v] += 1
+    if degs and max(degs) > limit - 1:
+        raise AlgorithmError(
+            f"bounded side reached degree {max(degs)}, cap is {limit - 1}"
+        )
+    if sorted(tree_edges + rest_edges) != list(g.edges()):
+        raise AlgorithmError("partition does not cover the edge set exactly")
+    return tuple(sorted(tree_edges)), tuple(sorted(rest_edges))
 
 
 def degeneracy_by_min(g: Graph) -> tuple[int, tuple[int, ...]]:

@@ -11,8 +11,11 @@ from itertools import product
 import pytest
 from hypothesis import find, given, settings, strategies as st
 
-from defekt import corpus, gadgets
+from defekt import colouring, corpus, gadgets
 from defekt.colouring import (
+    PeelTrace,
+    RemoveEdge,
+    RemoveVertex,
     build_peel_trace,
     colour_kell,
     colour_tree_free,
@@ -35,6 +38,8 @@ from helpers import graphs
 from oracles import (
     choosability_check_bounded_palette,
     colour_tree_free_by_residues,
+    list_colour_by_recheck,
+    partition_by_room_check,
     peel_by_rescan,
     replay_forward_check,
 )
@@ -80,9 +85,9 @@ def test_peel_trace_stuck_carries_witness():
     assert stuck.n == 4 and stuck.m == 6
 
 
-def _peel_outcome(peel, g, vertex_limit, edge_limit):
+def _outcome(f, *args):
     try:
-        return peel(g, vertex_limit, edge_limit), None
+        return f(*args), None
     except StructuralError as err:
         return None, (str(err), err.witness)
 
@@ -90,35 +95,72 @@ def _peel_outcome(peel, g, vertex_limit, edge_limit):
 @settings(max_examples=200, deadline=None)
 @given(graphs(max_n=11), st.integers(0, 4), st.integers(0, 7))
 def test_peel_heaps_match_rescan_oracle(g, vertex_limit, edge_limit):
-    fast = _peel_outcome(build_peel_trace, g, vertex_limit, edge_limit)
-    assert fast == _peel_outcome(peel_by_rescan, g, vertex_limit, edge_limit)
+    fast = _outcome(build_peel_trace, g, vertex_limit, edge_limit)
+    assert fast == _outcome(peel_by_rescan, g, vertex_limit, edge_limit)
     if fast[0] is not None:
         assert replay_forward_check(g, fast[0])
 
 
-@pytest.mark.parametrize(
-    "g, vertex_limit, edge_limit",
-    [
-        (corpus.apollonian(400, 4), 3, 40),
-        (corpus.apollonian(400, 5), 2, 7),
-        (corpus.apollonian(400, 5), 1, 9),  # stuck after 210 vertices go
-        (corpus.planar_girth_5(100, 6), 1, 7),
-        (corpus.gnp(60, 0.2, 7), 1, 2),  # stuck at once
-        (corpus.gnp(60, 0.1, 8), 2, 6),
-        (corpus.random_tree(300, 9), 1, 1),
-    ],
-)
+LARGER_PEELS = [
+    (corpus.apollonian(400, 4), 3, 40),
+    (corpus.apollonian(400, 5), 2, 7),
+    (corpus.apollonian(400, 5), 1, 9),  # stuck after 210 vertices go
+    (corpus.planar_girth_5(100, 6), 1, 7),
+    (corpus.gnp(60, 0.2, 7), 1, 2),  # stuck at once
+    (corpus.gnp(60, 0.1, 8), 2, 6),
+    (corpus.random_tree(300, 9), 1, 1),
+]
+
+
+@pytest.mark.parametrize("g, vertex_limit, edge_limit", LARGER_PEELS)
 def test_peel_heaps_match_rescan_oracle_on_larger_graphs(g, vertex_limit, edge_limit):
-    fast = _peel_outcome(build_peel_trace, g, vertex_limit, edge_limit)
-    assert fast == _peel_outcome(peel_by_rescan, g, vertex_limit, edge_limit)
+    fast = _outcome(build_peel_trace, g, vertex_limit, edge_limit)
+    assert fast == _outcome(peel_by_rescan, g, vertex_limit, edge_limit)
+
+
+# edge (0, 1) of the 4-cycle goes while both its ends have degree 2
+C4_CUT_FIRST = (
+    RemoveEdge((0, 1)), RemoveVertex(0, (3,)), RemoveVertex(1, (2,)),
+    RemoveVertex(2, (3,)), RemoveVertex(3, ()),
+)
 
 
 @pytest.mark.parametrize(
-    "peel", [degeneracy, lambda g: build_peel_trace(g, 3, 9)], ids=["degeneracy", "trace"]
+    "g, good, bad, steps",
+    [
+        # vertex 1 goes with two live neighbours
+        (gadgets.path(3), (2, 2), (1, 2),
+         (RemoveVertex(1, (0, 2)), RemoveVertex(0, ()), RemoveVertex(2, ()))),
+        (gadgets.cycle(4), (1, 2), (1, 1), C4_CUT_FIRST),
+        (gadgets.cycle(4), (1, 2), (2, 2), C4_CUT_FIRST),
+    ],
+    ids=["vertex-over-limit", "edge-end-over-edge-limit", "edge-end-at-vertex-limit"],
 )
-def test_peels_copy_no_adjacency(peel):
+def test_replay_check_rejects_a_step_over_its_threshold(g, good, bad, steps):
+    assert replay_forward_check(g, PeelTrace(*good, steps))
+    assert not replay_forward_check(g, PeelTrace(*bad, steps))
+
+
+@pytest.mark.parametrize(
+    "peel",
+    [
+        degeneracy,
+        lambda g: build_peel_trace(g, 3, 9),
+        lambda g: defective_list_colour(g, [(1, 2, 3, 4)] * g.n, 3, 9),
+    ],
+    ids=["degeneracy", "trace", "list-colour"],
+)
+def test_peels_copy_no_adjacency(peel, monkeypatch):
     # counters over the frozen graph peak at about 3.5 MiB here; a list of
-    # n mutable neighbour sets took it past 8 MiB
+    # n mutable neighbour sets took it past 8 MiB.  The replay check that
+    # every trace gets builds such sets, so it runs after the measurement.
+    traces = []
+
+    def recorded(g, vertex_limit, edge_limit):
+        traces.append(build_peel_trace(g, vertex_limit, edge_limit))
+        return traces[-1]
+
+    monkeypatch.setattr(colouring, "build_peel_trace", recorded)
     g = corpus.apollonian(16000, 1)
     tracemalloc.start()
     try:
@@ -127,6 +169,7 @@ def test_peels_copy_no_adjacency(peel):
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20
+    assert all(replay_forward_check(g, trace) for trace in traces)
 
 
 def test_list_colour_on_trees_is_proper():
@@ -156,6 +199,32 @@ def test_list_colour_defect_respects_bound(g, salt):
     ok, _ = verify_defective(g, colours, ell - k)
     assert ok
     assert all(colours[v] in lists[v] for v in g.vertices())
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=10), st.integers(1, 3), st.integers(0, 4), st.randoms())
+def test_replays_match_recheck_oracles(g, k, slack, rng):
+    ell = k + slack
+    lists = [tuple(rng.sample(range(1, k + 4), k + 1)) for _ in g.vertices()]
+    assert _outcome(defective_list_colour, g, lists, k, ell) == _outcome(
+        list_colour_by_recheck, g, lists, k, ell
+    )
+    assert _outcome(edge_partition_forest_bounded, g, ell) == _outcome(
+        partition_by_room_check, g, ell
+    )
+
+
+@pytest.mark.parametrize("g, vertex_limit, edge_limit", LARGER_PEELS)
+def test_replays_match_recheck_oracles_on_larger_graphs(g, vertex_limit, edge_limit):
+    rng = random.Random(g.n + edge_limit)
+    k = vertex_limit
+    lists = [tuple(rng.sample(range(1, k + 4), k + 1)) for _ in g.vertices()]
+    assert _outcome(defective_list_colour, g, lists, k, edge_limit) == _outcome(
+        list_colour_by_recheck, g, lists, k, edge_limit
+    )
+    assert _outcome(edge_partition_forest_bounded, g, edge_limit) == _outcome(
+        partition_by_room_check, g, edge_limit
+    )
 
 
 def test_list_colour_validation():
