@@ -32,7 +32,7 @@ from .errors import (
 )
 from .gadgets import gen_kell_H
 from .graphs import (
-    Graph, bits_of, connected_components, contract_components, induced_subgraph, is_tree,
+    Graph, connected_components, contract_components, induced_subgraph, is_tree, neighbour_masks,
 )
 from .structure import MinorModel, minor_test_bruteforce, validate_minor_model
 
@@ -544,7 +544,7 @@ def colour_kell(g: Graph, ell: int, k: int) -> KellResult:
             diagnostics["source"] = "exact-screen"
             return KellResult(kind="minor", diagnostics=diagnostics, minor_model=model)
 
-    masks = g.masks
+    masks = neighbour_masks(g)
     aux = Graph(g.n, [
         (u, v)
         for u in range(g.n)
@@ -639,14 +639,13 @@ def _extract_pattern_model(
     the star centre, k stay as leaves.
     """
     spokes = aux.neighbours(hub)[:ell]
-    masks = g.masks
     forbidden = {hub, *spokes}
     chosen: set[int] = set()
     centre_sets: list[tuple[int, ...]] = []
     leaf_sets: list[list[int]] = []
     for s in spokes:
-        common = masks[hub] & masks[s]
-        picks = [w for w in bits_of(common) if w not in forbidden and w not in chosen][: k + 1]
+        fresh = set(g.neighbours(s)) - forbidden - chosen
+        picks = [w for w in g.neighbours(hub) if w in fresh][: k + 1]
         if len(picks) < k + 1:
             raise AlgorithmError(
                 f"auxiliary edge ({hub},{s}) has too few fresh shared "

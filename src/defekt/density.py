@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .caps import current_caps
 from .errors import AlgorithmError, ValidationError
-from .graphs import Graph, bits_of, connected_components, induced_subgraph
+from .graphs import Graph, bits_of, connected_components, induced_subgraph, neighbour_masks
 from .matching import max_bipartite_matching
 
 
@@ -263,7 +263,7 @@ def top_grad_half(
         return Fraction(best_num, best_den), witness, "heuristic-lower-bound"
 
     n = g.n
-    masks = g.masks
+    masks = neighbour_masks(g)
     rank = g.m - n + len(connected_components(g))
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
     degs = [g.degree(v) for v in order]

@@ -17,7 +17,7 @@ from .errors import ParseError, ValidationError
 class Graph:
     """An undirected simple graph with frozen adjacency."""
 
-    __slots__ = ("n", "labels", "_adj", "_m", "_masks")
+    __slots__ = ("n", "labels", "_adj", "_m")
 
     def __init__(
         self,
@@ -41,7 +41,6 @@ class Graph:
         self.n = n
         self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
         self._m = m
-        self._masks: tuple[int, ...] | None = None
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != n:
@@ -76,19 +75,6 @@ class Graph:
             for v in self._adj[u]:
                 if u < v:
                     yield (u, v)
-
-    @property
-    def masks(self) -> tuple[int, ...]:
-        """Neighbourhoods as bitmasks, computed once on first use."""
-        if self._masks is None:
-            out = []
-            for nbrs in self._adj:
-                m = 0
-                for v in nbrs:
-                    m |= 1 << v
-                out.append(m)
-            self._masks = tuple(out)
-        return self._masks
 
     def __eq__(self, other) -> bool:
         return (
@@ -386,6 +372,19 @@ def bits_of(mask: int) -> list[int]:
         b = mask & -mask
         out.append(b.bit_length() - 1)
         mask ^= b
+    return out
+
+
+def neighbour_masks(g: Graph) -> list[int]:
+    """Neighbourhoods as bitmasks, one n-bit integer per vertex: quadratic
+    memory, so only the capped searches and ``colour_kell``'s all-pairs
+    pass build them, once per call."""
+    out = []
+    for v in g.vertices():
+        m = 0
+        for u in g.neighbours(v):
+            m |= 1 << u
+        out.append(m)
     return out
 
 

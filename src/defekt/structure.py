@@ -17,7 +17,9 @@ from math import floor
 from .bounds import n1
 from .caps import current_caps
 from .errors import CapExceededError, PreconditionRefutedError, ValidationError
-from .graphs import Graph, bits_of, blocks, component_mask, connected_components
+from .graphs import (
+    Graph, bits_of, blocks, component_mask, connected_components, neighbour_masks,
+)
 from .matching import max_bipartite_matching
 
 
@@ -87,32 +89,32 @@ def find_kst_star(g: Graph, s: int, t: int) -> KstStarEmbedding | None:
     Centres are tried in lexicographic order; for each centre set the outer
     vertices and the pair vertices are filled in simultaneously by a
     bipartite matching over the candidate pools, so overlap between the
-    pools is handled exactly.
+    pools is handled exactly.  The matching runs over the pools' own
+    vertices, numbered in ascending id, so it tries candidates in id order.
     """
     if s < 1 or t < 1:
         raise ValidationError("need s >= 1 and t >= 1")
     need = s + t + s * (s - 1) // 2
     if g.n < need:
         return None
-    masks = g.masks
-    full = (1 << g.n) - 1
     min_deg = t + s - 1
     cands = [v for v in g.vertices() if g.degree(v) >= min_deg]
     n_pairs = s * (s - 1) // 2
     for centres in combinations(cands, s):
-        amask = 0
-        for a in centres:
-            amask |= 1 << a
-        common = full & ~amask
-        for a in centres:
-            common &= masks[a]
-        if common.bit_count() < t:
+        # no vertex neighbours itself, so no centre is a common neighbour
+        common = set(g.neighbours(centres[0])).intersection(*map(g.neighbours, centres[1:]))
+        if len(common) < t:
             continue
         pairs = list(combinations(centres, 2))
         # each pair's candidates include the common pool, which is not empty
-        pair_cands = [masks[u] & masks[v] & ~amask for u, v in pairs]
-        size, match = max_bipartite_matching(pair_cands + [common] * t)
+        pools = [set(g.neighbours(u)).intersection(g.neighbours(v)).difference(centres)
+                 for u, v in pairs]
+        order = sorted(common.union(*pools))
+        bit = {v: 1 << i for i, v in enumerate(order)}
+        pair_cands = [sum(map(bit.get, p)) for p in pools]
+        size, match = max_bipartite_matching(pair_cands + [sum(map(bit.get, common))] * t)
         if size == n_pairs + t:
+            match = [order[j] for j in match]
             pair_vertices = tuple(zip(pairs, match))
             outer = tuple(sorted(match[n_pairs:]))
             return KstStarEmbedding(
@@ -264,7 +266,7 @@ def minor_test_bruteforce(g: Graph, h: Graph) -> MinorModel | None:
         return None
 
     n, q = g.n, h.n
-    masks = g.masks
+    masks = neighbour_masks(g)
     full = (1 << n) - 1
 
     # placement order: most placed neighbours first, then degree, then id
@@ -401,7 +403,6 @@ def validate_minor_model(g: Graph, h: Graph, model: MinorModel) -> list[str]:
     if len(model.branch_sets) != h.n:
         return ["one branch set per pattern vertex required"]
     seen: set[int] = set()
-    masks = g.masks
     for i, bset in enumerate(model.branch_sets):
         if not bset:
             problems.append(f"branch set {i} is empty")
@@ -413,11 +414,12 @@ def validate_minor_model(g: Graph, h: Graph, model: MinorModel) -> list[str]:
         if overlap:
             problems.append(f"branch sets overlap on {sorted(overlap)[:3]}")
         seen.update(bset)
-        bmask = 0
-        for v in bset:
-            bmask |= 1 << v
-        start = bmask & -bmask
-        if component_mask(masks, bmask, start) != bmask:
+        inside, reached, stack = set(bset), {bset[0]}, [bset[0]]
+        while stack:
+            grow = inside.intersection(g.neighbours(stack.pop())) - reached
+            reached |= grow
+            stack.extend(grow)
+        if reached != inside:
             problems.append(f"branch set {i} is not connected")
     if any(not 0 <= v < g.n for bset in model.branch_sets for v in bset):
         return problems
@@ -440,7 +442,7 @@ def vertex_cover_number(g: Graph) -> tuple[int, tuple[int, ...]]:
     limit = current_caps().vertex_cover
     if g.n > limit:
         raise CapExceededError(f"vertex cover needs n <= {limit}, got {g.n}")
-    masks = g.masks
+    masks = neighbour_masks(g)
     n = g.n
     best_size = n
     best_mask = (1 << n) - 1
@@ -489,7 +491,7 @@ def tree_depth(g: Graph) -> int:
         raise CapExceededError(f"tree depth needs n <= {limit}, got {g.n}")
     if g.n == 0:
         return 0
-    masks = g.masks
+    masks = neighbour_masks(g)
     memo: dict[int, int] = {}
 
     def td(mask: int) -> int:

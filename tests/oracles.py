@@ -17,7 +17,11 @@ that the pruned ones can be checked to find the same answers.
 ``list_colour_by_recheck`` and ``partition_by_room_check`` are the
 list-colouring and forest-partition replays with the re-checks that the
 peel's thresholds make unreachable, kept so that the direct replays can be
-checked to give the same colours and edges.
+checked to give the same colours and edges.  ``kst_star_by_masks`` and
+``minor_model_problems_by_masks`` are the K*_{s,t} search and the
+minor-model check on n-bit neighbour masks, as they stood before they moved
+to neighbour sets and a BFS inside each branch set, kept so that those can
+be checked to give the same embeddings and problem lists.
 """
 
 from fractions import Fraction
@@ -44,9 +48,11 @@ from defekt.density import (
     validate_subdivision_witness,
 )
 from defekt.errors import AlgorithmError, StructuralError, ValidationError
-from defekt.graphs import Graph, bits_of, induced_subgraph, is_tree
+from defekt.graphs import (
+    Graph, bits_of, component_mask, induced_subgraph, is_tree, neighbour_masks,
+)
 from defekt.matching import max_bipartite_matching
-from defekt.structure import MinorModel
+from defekt.structure import KstStarEmbedding, MinorModel
 
 
 def peel_by_rescan(g: Graph, vertex_limit: int, edge_limit: int) -> PeelTrace:
@@ -358,7 +364,7 @@ def mad_bruteforce(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
     """Maximum average degree by subset enumeration."""
     if g.n == 0:
         raise ValidationError("density of the empty graph is undefined")
-    masks = g.masks
+    masks = neighbour_masks(g)
     n = g.n
     edge_count = [0] * (1 << n)
     for mask in range(1, 1 << n):
@@ -617,7 +623,7 @@ def top_grad_half_by_rescan(
         return Fraction(best_num, best_den), witness, "heuristic-lower-bound"
 
     n = g.n
-    masks = g.masks
+    masks = neighbour_masks(g)
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
     degs = [g.degree(v) for v in order]
     suffix = [0] * (n + 1)
@@ -706,7 +712,7 @@ def minor_test_by_plain_search(g: Graph, h: Graph) -> MinorModel | None:
         return None
 
     n, q = g.n, h.n
-    masks = g.masks
+    masks = neighbour_masks(g)
     full = (1 << n) - 1
 
     # placement order: most placed neighbours first, then degree, then id
@@ -841,3 +847,79 @@ def minor_test_by_plain_search(g: Graph, h: Graph) -> MinorModel | None:
         sets[hv] = tuple(bits_of(branch[i]))
     model = MinorModel(branch_sets=tuple(sets))
     return model
+
+
+def kst_star_by_masks(g: Graph, s: int, t: int) -> KstStarEmbedding | None:
+    """Search for the starred K_{s,t} pattern as a subgraph.
+
+    Centres are tried in lexicographic order; for each centre set the outer
+    vertices and the pair vertices are filled in simultaneously by a
+    bipartite matching over the candidate pools, so overlap between the
+    pools is handled exactly.
+    """
+    if s < 1 or t < 1:
+        raise ValidationError("need s >= 1 and t >= 1")
+    need = s + t + s * (s - 1) // 2
+    if g.n < need:
+        return None
+    masks = neighbour_masks(g)
+    full = (1 << g.n) - 1
+    min_deg = t + s - 1
+    cands = [v for v in g.vertices() if g.degree(v) >= min_deg]
+    n_pairs = s * (s - 1) // 2
+    for centres in combinations(cands, s):
+        amask = 0
+        for a in centres:
+            amask |= 1 << a
+        common = full & ~amask
+        for a in centres:
+            common &= masks[a]
+        if common.bit_count() < t:
+            continue
+        pairs = list(combinations(centres, 2))
+        # each pair's candidates include the common pool, which is not empty
+        pair_cands = [masks[u] & masks[v] & ~amask for u, v in pairs]
+        size, match = max_bipartite_matching(pair_cands + [common] * t)
+        if size == n_pairs + t:
+            pair_vertices = tuple(zip(pairs, match))
+            outer = tuple(sorted(match[n_pairs:]))
+            return KstStarEmbedding(
+                centres=tuple(centres), outer=outer, pair_vertices=pair_vertices
+            )
+    return None
+
+
+def minor_model_problems_by_masks(g: Graph, h: Graph, model: MinorModel) -> list[str]:
+    problems = []
+    if len(model.branch_sets) != h.n:
+        return ["one branch set per pattern vertex required"]
+    seen: set[int] = set()
+    masks = neighbour_masks(g)
+    for i, bset in enumerate(model.branch_sets):
+        if not bset:
+            problems.append(f"branch set {i} is empty")
+            continue
+        if any(not 0 <= v < g.n for v in bset):
+            problems.append(f"branch set {i} out of range")
+            continue
+        overlap = seen.intersection(bset)
+        if overlap:
+            problems.append(f"branch sets overlap on {sorted(overlap)[:3]}")
+        seen.update(bset)
+        bmask = 0
+        for v in bset:
+            bmask |= 1 << v
+        start = bmask & -bmask
+        if component_mask(masks, bmask, start) != bmask:
+            problems.append(f"branch set {i} is not connected")
+    if any(not 0 <= v < g.n for bset in model.branch_sets for v in bset):
+        return problems
+    for u, v in h.edges():
+        found = any(
+            g.has_edge(x, y)
+            for x in model.branch_sets[u]
+            for y in model.branch_sets[v]
+        )
+        if not found:
+            problems.append(f"no host edge between branch sets {u} and {v}")
+    return problems

@@ -33,6 +33,7 @@ from defekt.errors import (
     ValidationError,
 )
 from defekt.graphs import Graph
+from defekt.structure import MinorModel, find_kst_star
 
 from helpers import graphs
 from oracles import (
@@ -170,6 +171,33 @@ def test_peels_copy_no_adjacency(peel, monkeypatch):
         tracemalloc.stop()
     assert peak < 6 * 2**20
     assert all(replay_forward_check(g, trace) for trace in traces)
+
+
+def _kst_star_found(g):
+    return find_kst_star(g, 2, 1) is not None
+
+
+def _triangle_model_problems(g):
+    model = MinorModel(((0,), (1,), tuple(range(2, g.n))))
+    return validate_minor_model(g, gadgets.complete(3), model)
+
+
+@pytest.mark.parametrize(
+    "check, expected",
+    [(_kst_star_found, True), (_triangle_model_problems, [])],
+    ids=["kst-star", "minor-model"],
+)
+def test_certificate_paths_build_no_masks(check, expected):
+    # one n-bit neighbour mask per vertex takes about 22 MiB here.  A fresh
+    # host per case, so that nothing one case left on it helps the other.
+    g = corpus.apollonian(16000, 1)
+    tracemalloc.start()
+    try:
+        assert check(g) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_list_colour_on_trees_is_proper():

@@ -16,7 +16,7 @@ from defekt.density import (
     validate_subdivision_witness,
 )
 from defekt.errors import ValidationError
-from defekt.graphs import Graph
+from defekt.graphs import Graph, neighbour_masks
 from defekt.wire import encode
 
 from helpers import graphs, grid, ladder, nonempty_graphs, subdivided_graphs
@@ -32,12 +32,13 @@ from oracles import (
 
 def _densest_union(g):
     """Union of every vertex set of greatest density, by enumeration."""
+    masks = neighbour_masks(g)
     edge_count = [0] * (1 << g.n)
     best, union = Fraction(-1), 0
     for mask in range(1, 1 << g.n):
         low = (mask & -mask).bit_length() - 1
         rest = mask & (mask - 1)
-        edge_count[mask] = edge_count[rest] + (g.masks[low] & rest).bit_count()
+        edge_count[mask] = edge_count[rest] + (masks[low] & rest).bit_count()
         dens = Fraction(edge_count[mask], mask.bit_count())
         if dens > best:
             best, union = dens, mask

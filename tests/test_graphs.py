@@ -16,6 +16,7 @@ from defekt.graphs import (
     from_json,
     induced_subgraph,
     is_tree,
+    neighbour_masks,
     sniff,
     to_dimacs,
     to_edge_list,
@@ -41,12 +42,12 @@ def test_out_of_range_edge_rejected():
         Graph(2, [(0, 2)])
 
 
-def test_masks_match_adjacency():
-    g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+@given(graphs(max_n=12))
+def test_neighbour_masks_match_adjacency(g):
+    masks = neighbour_masks(g)
+    assert len(masks) == g.n
     for v in g.vertices():
-        assert g.masks[v].bit_count() == g.degree(v)
-        for u in g.neighbours(v):
-            assert g.masks[v] >> u & 1
+        assert bits_of(masks[v]) == list(g.neighbours(v))
 
 
 @given(graphs())

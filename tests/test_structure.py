@@ -14,6 +14,7 @@ from defekt.errors import CapExceededError, PreconditionRefutedError
 from defekt.graphs import Graph, connected_components
 from defekt.structure import (
     KstStarEmbedding,
+    MinorModel,
     dichotomy_threshold,
     find_kst_star,
     find_light_edge,
@@ -29,7 +30,7 @@ from defekt.structure import (
 from defekt.wire import decode, encode
 
 from helpers import dense_graphs, glued_graphs, graphs, is_isomorphic, nonempty_graphs
-from oracles import minor_test_by_plain_search
+from oracles import kst_star_by_masks, minor_model_problems_by_masks, minor_test_by_plain_search
 
 
 def test_find_light_edge():
@@ -51,6 +52,13 @@ def test_kst_star_detects_its_own_gadget():
 def test_kst_star_absent_in_sparse_hosts():
     assert find_kst_star(gadgets.cycle(8), 2, 1) is None
     assert find_kst_star(gadgets.path(6), 2, 1) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(graphs(max_n=12), dense_graphs(min_n=5, max_n=12)))
+def test_kst_star_matches_mask_search(g):
+    for s, t in product((1, 2, 3), repeat=2):
+        assert find_kst_star(g, s, t) == kst_star_by_masks(g, s, t)
 
 
 def _peel_step(kind):
@@ -260,6 +268,32 @@ def test_validate_minor_model_catches_defects():
     assert validate_minor_model(g, h, short) != []
     outside = MinorModel(branch_sets=((99,), (1,), (2,)))
     assert validate_minor_model(g, h, outside) == ["branch set 0 out of range"]
+
+
+@st.composite
+def branch_set_models(draw):
+    """A host, a pattern and a model that gives each host vertex to one
+    branch set or to none, in a shuffled order within each set; now and
+    then one set too few, a vertex in two sets or one out of range."""
+    g = draw(graphs(max_n=10))
+    h = draw(graphs(max_n=4))
+    owner = draw(st.lists(st.integers(-1, h.n - 1), min_size=g.n, max_size=g.n))
+    sets = [draw(st.permutations([v for v in g.vertices() if owner[v] == i])) for i in range(h.n)]
+    fault = draw(st.sampled_from(("none", "none", "short", "overlap", "range")))
+    if fault == "short":
+        sets.pop()
+    elif fault == "overlap" and g.n:
+        sets[draw(st.integers(0, h.n - 1))].append(draw(st.integers(0, g.n - 1)))
+    elif fault == "range":
+        sets[draw(st.integers(0, h.n - 1))].append(g.n)
+    return g, h, MinorModel(branch_sets=tuple(map(tuple, sets)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(branch_set_models())
+def test_validate_minor_model_matches_mask_check(case):
+    g, h, model = case
+    assert validate_minor_model(g, h, model) == minor_model_problems_by_masks(g, h, model)
 
 
 def naive_vertex_cover(g: Graph) -> int:
